@@ -141,11 +141,7 @@ StatusOr<QueryExecution> WukongExt::ExecuteContinuous(const Query& q,
 
   std::vector<std::unique_ptr<TimeFilteredSource>> plan_holders;
   ExecContext plan_ctx = build_ctx(/*charge_reads=*/false, &plan_holders);
-  // The extension predates the columnar executor: it plans with the legacy
-  // row-count expansion estimate and runs the row pipeline below.
-  PlanHints hints;
-  hints.chunk_rows = 0;
-  std::vector<int> plan = PlanQuery(q, plan_ctx, hints);
+  std::vector<int> plan = PlanQuery(q, plan_ctx);
   bool selective = true;
   if (!plan.empty()) {
     const TriplePattern& first = q.patterns[static_cast<size_t>(plan.front())];
@@ -171,15 +167,7 @@ StatusOr<QueryExecution> WukongExt::ExecuteContinuous(const Query& q,
       }
     };
   }
-  auto table = ExecutePatternsRow(q, plan, ctx, hook);
-  if (!table.ok()) {
-    return table.status();
-  }
-  Status fs = ApplyFilters(q, ctx, &table.value());
-  if (!fs.ok()) {
-    return fs;
-  }
-  auto result = ProjectResult(q, ctx, table.value());
+  auto result = ExecutePipeline(q, plan, ctx, hook);
   if (!result.ok()) {
     return result.status();
   }

@@ -259,12 +259,19 @@ void Cluster::NotifySliceEviction(StreamId stream, BatchSeq min_live) {
   BumpMqoGeneration();
 }
 
-uint64_t Cluster::StoredEpoch() const {
-  uint64_t epoch = 0;
+uint64_t Cluster::StoredEpoch(SnapshotNum sn) const {
+  uint64_t epoch = std::min(sn, stored_sn_high_.load(std::memory_order_relaxed));
   for (const auto& store : stores_) {
     epoch += store->EdgeCountTotal();
   }
   return epoch;
+}
+
+void Cluster::NoteStoredAppend(SnapshotNum sn) {
+  SnapshotNum high = stored_sn_high_.load(std::memory_order_relaxed);
+  while (high < sn && !stored_sn_high_.compare_exchange_weak(
+                          high, sn, std::memory_order_relaxed)) {
+  }
 }
 
 StatusOr<StreamId> Cluster::FindStream(const std::string& name) const {
@@ -600,6 +607,9 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
           timeless[n].empty() ? nullptr : batch_tracer, "ingest",
           "ingest/append_persistent", n);
       persist_span.Arg("edges", static_cast<uint64_t>(timeless[n].size()));
+      if (!timeless[n].empty()) {
+        NoteStoredAppend(sn);
+      }
       for (const auto& [key, value] : timeless[n]) {
         stores_raw_[n]->InjectEdge(key, value, sn, &spans[n]);
       }
@@ -767,6 +777,9 @@ void Cluster::DrainBacklog(NodeId n) {
     SimCost::Add(delay_ns);
     injected_window_edges_[d.stream][n] += d.timeless.size() + d.timing.size();
     std::vector<AppendSpan> spans;
+    if (!d.timeless.empty()) {
+      NoteStoredAppend(d.sn);
+    }
     for (const auto& [key, value] : d.timeless) {
       stores_raw_[n]->InjectEdge(key, value, d.sn, &spans);
     }
@@ -1016,7 +1029,6 @@ StatusOr<ExecContext> Cluster::BuildContext(
     std::vector<std::unique_ptr<NeighborSource>>* holders, DegradeState* degrade) {
   ExecContext ctx;
   ctx.strings = strings_;
-  ctx.columnar = config_.columnar_executor;
   if constexpr (obs::kCompiledIn) {
     ctx.tracer = tracer_;
     ctx.trace_node = home;
@@ -1419,6 +1431,9 @@ StatusOr<QueryExecution> Cluster::RunQueryDelta(Registration& reg,
     }
   }
 
+  // Read before the context pins its snapshot: a snapshot that moves in
+  // between costs a spurious flush at the next trigger, never a stale hit.
+  const uint64_t stored_epoch = StoredEpoch(coordinator_->StableSn());
   std::vector<std::unique_ptr<NeighborSource>> holders;
   auto ctx = BuildContext(reg, end_ms, ChargePolicy::kInPlace, home, &holders,
                           degrade);
@@ -1448,7 +1463,7 @@ StatusOr<QueryExecution> Cluster::RunQueryDelta(Registration& reg,
 
   DeltaCache* cache = reg.delta_cache.get();
   DeltaCache::Stats before = cache->stats();
-  cache->BeginTrigger(StoredEpoch(), range.lo, range.hi);
+  cache->BeginTrigger(stored_epoch, range.lo, range.hi);
   DeltaCache::Stats after = cache->stats();
   Bump(obs_.delta_invalidations, after.invalidations - before.invalidations);
   Bump(obs_.delta_epoch_flushes, after.epoch_flushes - before.epoch_flushes);
@@ -2417,8 +2432,8 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
     return std::nullopt;
   }
 
-  const uint64_t stored = StoredEpoch();
   const SnapshotNum sn = coordinator_->StableSn();
+  const uint64_t stored = StoredEpoch(sn);
   const uint64_t epoch = shard_map_.epoch();
   const uint64_t gen = mqo_gen_.load(std::memory_order_relaxed);
   bool paid = false;

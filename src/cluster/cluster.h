@@ -116,13 +116,6 @@ struct ClusterConfig {
   // Results are bag-identical to cold re-execution; row order may differ.
   bool delta_cache_enabled = true;
 
-  // Executor pipeline selector (DESIGN.md §5.13). On (default), intermediate
-  // results are column-major ColumnarTables with batched scan-join kernels;
-  // off runs the legacy row-major pipeline. Projected results are
-  // byte-identical — the differential harness runs a row-mode twin cluster
-  // against the columnar one on every seed to prove it.
-  bool columnar_executor = true;
-
   // Locality-aware partitioning of the stream index (paper §4.2, Fig. 9):
   // replicate a stream's index to nodes whose registered queries consume it.
   // Disabling it (ablation) makes every remote window lookup pay an extra
@@ -689,9 +682,15 @@ class Cluster {
   // Index into q.windows of the single sliding-window pattern, or -1 when
   // the query is ineligible for delta caching.
   static int DeltaEligibleWindow(const Query& q);
-  // Stored-graph epoch: any append/load/crash anywhere changes it, flushing
-  // every delta cache at its next trigger (cheap relaxed-atomic sums).
-  uint64_t StoredEpoch() const;
+  // Epoch of the stored graph as a query at snapshot `sn` sees it: any
+  // append/load/crash anywhere changes it, and so does `sn` passing the
+  // snapshot of an edge appended earlier, flushing every delta cache at its
+  // next trigger. It sums the appended-edge count and min(sn, highest
+  // snapshot any stream edge was appended at); both terms never decrease, so
+  // the sum changes whenever either does (cheap relaxed-atomic reads).
+  uint64_t StoredEpoch(SnapshotNum sn) const;
+  // Raises stored_sn_high_ to `sn` (stream edges appended at snapshot sn).
+  void NoteStoredAppend(SnapshotNum sn);
   // Eviction-listener fan-out: retire contributions below `min_live` in
   // every delta cache fed by `stream`.
   void NotifySliceEviction(StreamId stream, BatchSeq min_live);
@@ -880,6 +879,9 @@ class Cluster {
   // node absorbed from the stream, scoping CrashNode's delta-cache flush to
   // streams whose window data actually touched the crashed node.
   std::vector<std::vector<uint64_t>> injected_window_edges_;
+  // Highest snapshot any stream edge was appended to a store at (never
+  // decreases); the visibility term of StoredEpoch.
+  std::atomic<SnapshotNum> stored_sn_high_{0};
   ReconfigStats reconfig_stats_;
   std::function<void(const CrashEvent&)> crash_handler_;
   UpstreamBuffer* upstream_ = nullptr;

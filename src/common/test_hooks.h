@@ -42,7 +42,7 @@ extern std::atomic<bool> stale_group_membership;
 
 // Columnar FILTER evaluation (§5.13) computes the per-chunk selection vector
 // but never stores it — rows the predicate dropped stay active. The
-// columnar-vs-row differential twin must catch the divergence.
+// in-place differential lane must catch the divergence against the oracle.
 extern std::atomic<bool> skip_selection_compact;
 
 // The delta path recycles a contribution's column arena right after handing

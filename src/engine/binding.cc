@@ -31,21 +31,6 @@ void BindingTable::AppendRow(const VertexId* row) {
   data_.insert(data_.end(), row, row + vars_.size());
 }
 
-void BindingTable::AppendRowExtended(const VertexId* row, size_t old_cols,
-                                     VertexId extra) {
-  assert(old_cols + 1 == vars_.size());
-  if (old_cols > 0) {
-    data_.insert(data_.end(), row, row + old_cols);
-  }
-  data_.push_back(extra);
-}
-
-void BindingTable::Clear() {
-  vars_.clear();
-  data_.clear();
-  unit_failed_ = false;
-}
-
 std::unordered_map<VertexId, std::vector<size_t>> PartitionRowsByColumn(
     const QueryResult& result, size_t col) {
   // Column-wise two-pass partition (DESIGN.md §5.13): gather the key column

@@ -27,7 +27,6 @@ class BindingTable {
 
   // Column handling.
   int ColumnOf(int var) const;  // -1 if unbound.
-  bool IsBound(int var) const { return ColumnOf(var) >= 0; }
   size_t num_cols() const { return vars_.size(); }
   const std::vector<int>& vars() const { return vars_; }
 
@@ -40,17 +39,9 @@ class BindingTable {
   // Marks the unit table as failed (a constant-only pattern found no match).
   void FailUnit() { unit_failed_ = true; }
 
-  // Builders used by the executor. AppendRow* take the *existing* row layout;
-  // extended variants append `extra` as a new final column added by
-  // AddColumn().
+  // Builders: add every column first, then append rows in that layout.
   int AddColumn(int var);
   void AppendRow(const VertexId* row);
-  void AppendRowExtended(const VertexId* row, size_t old_cols, VertexId extra);
-  void Clear();
-
-  size_t MemoryBytes() const {
-    return data_.capacity() * sizeof(VertexId) + vars_.capacity() * sizeof(int);
-  }
 
  private:
   std::vector<int> vars_;

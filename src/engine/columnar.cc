@@ -217,23 +217,6 @@ BindingTable ColumnarTable::ToRows() const {
   return rows;
 }
 
-ColumnarTable ColumnarTable::FromRows(const BindingTable& rows) {
-  ColumnarTable t;
-  for (int v : rows.vars()) {
-    t.AddColumn(v);
-  }
-  if (rows.num_cols() == 0) {
-    if (rows.num_rows() == 0) {
-      t.FailUnit();
-    }
-    return t;
-  }
-  for (size_t r = 0; r < rows.num_rows(); ++r) {
-    t.AppendRow(rows.Row(r));
-  }
-  return t;
-}
-
 size_t ColumnarTable::MemoryBytes() const {
   size_t bytes = vars_.capacity() * sizeof(int);
   for (const auto& a : arenas_) {

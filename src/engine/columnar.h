@@ -21,10 +21,9 @@
 //    outlives the table that built it. Resetting or reusing an arena while
 //    any table still references it is the lifetime bug the
 //    `stale_arena_reuse` planted mutation simulates.
-//  - The row view (ToRows/FromRows) is the compatibility contract: the
-//    fork-join serialization format and DeltaCache keys predate the
-//    columnar layout and are defined over rows; the adapter round-trips
-//    tables with row order preserved.
+//  - The row view (ToRows) exists only for aggregation, which folds rows
+//    into per-group state and keeps one row-major implementation; it
+//    preserves row order exactly. Nothing converts rows back into chunks.
 
 #ifndef SRC_ENGINE_COLUMNAR_H_
 #define SRC_ENGINE_COLUMNAR_H_
@@ -82,6 +81,34 @@ struct ColumnarChunk {
   std::vector<uint32_t> sel;
 
   size_t active() const { return dense ? size : sel.size(); }
+
+  // Calls fn(physical_row) for every active row in order. Fn may return
+  // void, or bool (false stops the walk, and ForEachActive returns false).
+  template <typename Fn>
+  bool ForEachActive(Fn&& fn) const {
+    auto call = [&](uint32_t r) -> bool {
+      if constexpr (std::is_void_v<decltype(fn(r))>) {
+        fn(r);
+        return true;
+      } else {
+        return fn(r);
+      }
+    };
+    if (dense) {
+      for (size_t r = 0; r < size; ++r) {
+        if (!call(static_cast<uint32_t>(r))) {
+          return false;
+        }
+      }
+    } else {
+      for (uint32_t r : sel) {
+        if (!call(r)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
 };
 
 class ColumnarTable {
@@ -119,7 +146,7 @@ class ColumnarTable {
   // splice it into place (e.g. replacing chunk i during an existence check).
   ColumnarChunk MakeChunk(size_t cap);
 
-  // Row-at-a-time writer used by the row-view adapter and OPTIONAL stitching.
+  // Row-at-a-time writer used by the OPTIONAL join's seed and merge.
   void AppendRow(const VertexId* row);
 
   // Bag union: adopts `other`'s chunks (and arena references) without
@@ -130,9 +157,8 @@ class ColumnarTable {
   // active rows, in order, into this table's own arena.
   void Compact();
 
-  // Row-view adapter (§5.13). Round-trip preserves row order exactly.
+  // Row view for aggregation (§5.13), in table order.
   BindingTable ToRows() const;
-  static ColumnarTable FromRows(const BindingTable& rows);
 
   size_t MemoryBytes() const;
 
@@ -143,27 +169,9 @@ class ColumnarTable {
   // return void, or bool (false stops the walk).
   template <typename Fn>
   void ForEachActiveRow(Fn&& fn) const {
-    auto call = [&](const ColumnarChunk& ch, size_t r) -> bool {
-      if constexpr (std::is_void_v<decltype(fn(ch, r))>) {
-        fn(ch, r);
-        return true;
-      } else {
-        return fn(ch, r);
-      }
-    };
     for (const ColumnarChunk& ch : chunks_) {
-      if (ch.dense) {
-        for (size_t r = 0; r < ch.size; ++r) {
-          if (!call(ch, r)) {
-            return;
-          }
-        }
-      } else {
-        for (uint32_t r : ch.sel) {
-          if (!call(ch, r)) {
-            return;
-          }
-        }
+      if (!ch.ForEachActive([&](uint32_t r) { return fn(ch, size_t{r}); })) {
+        return;
       }
     }
   }

@@ -1,11 +1,11 @@
 #include "src/engine/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/test_hooks.h"
@@ -90,15 +90,11 @@ class CachedCursor {
   std::vector<VertexId> scratch_;
 };
 
-// Shared FILTER predicate over one binding, identical across pipelines. Sets
-// *keep; fails when a numeric comparison has no string server to consult.
-Status EvalFilter(const FilterExpr& f, VertexId v, const StringServer* strings,
-                  bool* keep) {
+// Numeric FILTER predicate over one binding. Sets *keep; fails when there is
+// no string server to read the binding's number from.
+Status EvalNumericFilter(const FilterExpr& f, VertexId v,
+                         const StringServer* strings, bool* keep) {
   *keep = false;
-  if (!f.numeric) {
-    *keep = f.MatchesVertex(v);
-    return Status::Ok();
-  }
   if (strings == nullptr) {
     return Status::FailedPrecondition("numeric FILTER needs a string server");
   }
@@ -134,158 +130,13 @@ Status EvalFilter(const FilterExpr& f, VertexId v, const StringServer* strings,
   return Status::Ok();
 }
 
-// Applies one triple pattern to a row-major `table`, producing the next table.
-Status ApplyPatternRow(const TriplePattern& p, const NeighborSource& src,
-                       BindingTable* table) {
-  const bool s_var = p.subject.is_var();
-  const bool o_var = p.object.is_var();
-  const int s_col = s_var ? table->ColumnOf(p.subject.var) : -1;
-  const int o_col = o_var ? table->ColumnOf(p.object.var) : -1;
-  const bool s_known = !s_var || s_col >= 0;
-  const bool o_known = !o_var || o_col >= 0;
-
-  const size_t old_cols = table->num_cols();
-  const size_t old_rows = table->num_rows();
-  std::vector<VertexId> nbrs;
-
-  auto subject_of = [&](size_t row) {
-    return s_var ? table->At(row, s_col) : p.subject.constant;
-  };
-  auto object_of = [&](size_t row) {
-    return o_var ? table->At(row, o_col) : p.object.constant;
-  };
-
-  if (s_known && o_known) {
-    // Existence check per row. SPARQL has bag semantics: a row joins once
-    // per matching edge, so multiplicity in the (stream) data is preserved.
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    if (old_cols == 0) {
-      // Unit table: single check on the constant endpoints.
-      nbrs.clear();
-      src.GetNeighbors(Key(p.subject.constant, p.predicate, Dir::kOut), &nbrs);
-      bool found = std::find(nbrs.begin(), nbrs.end(), p.object.constant) != nbrs.end();
-      if (!found) {
-        table->FailUnit();
-      }
-      return Status::Ok();
-    }
-    for (size_t r = 0; r < old_rows; ++r) {
-      nbrs.clear();
-      src.GetNeighbors(Key(subject_of(r), p.predicate, Dir::kOut), &nbrs);
-      size_t multiplicity = static_cast<size_t>(
-          std::count(nbrs.begin(), nbrs.end(), object_of(r)));
-      for (size_t m = 0; m < multiplicity; ++m) {
-        next.AppendRow(table->Row(r));
-      }
-    }
-    *table = std::move(next);
-    return Status::Ok();
-  }
-
-  if (s_known && !o_known) {
-    // Expand forward: bind the object variable.
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    next.AddColumn(p.object.var);
-    if (old_cols == 0) {
-      nbrs.clear();
-      src.GetNeighbors(Key(p.subject.constant, p.predicate, Dir::kOut), &nbrs);
-      for (VertexId nb : nbrs) {
-        next.AppendRowExtended(nullptr, 0, nb);
-      }
-    } else {
-      for (size_t r = 0; r < old_rows; ++r) {
-        nbrs.clear();
-        src.GetNeighbors(Key(subject_of(r), p.predicate, Dir::kOut), &nbrs);
-        for (VertexId nb : nbrs) {
-          next.AppendRowExtended(table->Row(r), old_cols, nb);
-        }
-      }
-    }
-    *table = std::move(next);
-    return Status::Ok();
-  }
-
-  if (!s_known && o_known) {
-    // Expand backward over in-edges: bind the subject variable.
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    next.AddColumn(p.subject.var);
-    if (old_cols == 0) {
-      nbrs.clear();
-      src.GetNeighbors(Key(p.object.constant, p.predicate, Dir::kIn), &nbrs);
-      for (VertexId nb : nbrs) {
-        next.AppendRowExtended(nullptr, 0, nb);
-      }
-    } else {
-      for (size_t r = 0; r < old_rows; ++r) {
-        nbrs.clear();
-        src.GetNeighbors(Key(object_of(r), p.predicate, Dir::kIn), &nbrs);
-        for (VertexId nb : nbrs) {
-          next.AppendRowExtended(table->Row(r), old_cols, nb);
-        }
-      }
-    }
-    *table = std::move(next);
-    return Status::Ok();
-  }
-
-  // Neither endpoint known: seed subjects from the index vertex (paper
-  // Fig. 6: [0|pid|out] lists every vertex with an outgoing pid edge), then
-  // expand to objects. Cartesian with any existing rows.
-  std::vector<VertexId> subjects;
-  src.GetNeighbors(Key(kIndexVertex, p.predicate, Dir::kOut), &subjects);
-
-  BindingTable next;
-  for (int v : table->vars()) {
-    next.AddColumn(v);
-  }
-  int new_s_col = next.AddColumn(p.subject.var);
-  (void)new_s_col;
-  // Two-step build: first bind subjects, then expand objects, to reuse the
-  // row machinery. Materialize intermediate rows directly.
-  BindingTable mid = std::move(next);
-  if (old_cols == 0) {
-    for (VertexId s : subjects) {
-      mid.AppendRowExtended(nullptr, 0, s);
-    }
-  } else {
-    for (size_t r = 0; r < old_rows; ++r) {
-      for (VertexId s : subjects) {
-        mid.AppendRowExtended(table->Row(r), old_cols, s);
-      }
-    }
-  }
-  // Now expand objects from the bound subject column.
-  BindingTable out;
-  for (int v : mid.vars()) {
-    out.AddColumn(v);
-  }
-  out.AddColumn(p.object.var);
-  int mid_s_col = mid.ColumnOf(p.subject.var);
-  for (size_t r = 0; r < mid.num_rows(); ++r) {
-    nbrs.clear();
-    src.GetNeighbors(Key(mid.At(r, mid_s_col), p.predicate, Dir::kOut), &nbrs);
-    for (VertexId nb : nbrs) {
-      out.AppendRowExtended(mid.Row(r), mid.num_cols(), nb);
-    }
-  }
-  *table = std::move(out);
-  return Status::Ok();
-}
-
 // --- Columnar scan-join (DESIGN.md §5.13) ----------------------------------
 //
-// Row enumeration order is the contract: every case below emits surviving
-// rows in exactly the order the row pipeline would (chunks in order, rows in
-// order, neighbors in order), so projected results stay byte-identical.
+// Row enumeration order is a contract: every case below emits surviving rows
+// source row by source row (chunks in order, rows in order, neighbors in
+// adjacency order). The batched OPTIONAL join merges group matches back onto
+// the left table by row ordinal and relies on it, and a query without ORDER
+// BY gets a deterministic row order from it.
 
 // Two-pass batched expansion of one chunk (§5.13). Pass one (the caller's
 // scan) resolves each surviving row's adjacency span — through the pattern's
@@ -410,7 +261,7 @@ Status ApplyPatternColumnar(const TriplePattern& p, const NeighborSource& src,
       keep.clear();
       mults.clear();
       bool has_dup = false;
-      auto scan = [&](uint32_t r) {
+      ch.ForEachActive([&](uint32_t r) {
         VertexId obj = o_var ? ch.cols[o_col][r] : p.object.constant;
         size_t n = const_n;
         const VertexId* nbrs = const_nbrs;
@@ -423,16 +274,7 @@ Status ApplyPatternColumnar(const TriplePattern& p, const NeighborSource& src,
           mults.emplace_back(r, static_cast<uint32_t>(mult));
           has_dup = has_dup || mult > 1;
         }
-      };
-      if (ch.dense) {
-        for (size_t r = 0; r < ch.size; ++r) {
-          scan(static_cast<uint32_t>(r));
-        }
-      } else {
-        for (uint32_t r : ch.sel) {
-          scan(r);
-        }
-      }
+      });
       if (has_dup) {
         std::vector<uint32_t> idx;
         for (const auto& [r, m] : mults) {
@@ -487,23 +329,14 @@ Status ApplyPatternColumnar(const TriplePattern& p, const NeighborSource& src,
     ExpansionScratch scratch;
     for (const ColumnarChunk& ch : table->chunks()) {
       scratch.Clear(ch.active());
-      auto expand = [&](uint32_t r) {
+      ch.ForEachActive([&](uint32_t r) {
         size_t n = const_n;
         const VertexId* nbrs = const_nbrs;
         if (anchor.is_var()) {
           nbrs = cached.Fetch(ch.cols[anchor_col][r], &n);
         }
         scratch.Push(r, nbrs, n);
-      };
-      if (ch.dense) {
-        for (size_t r = 0; r < ch.size; ++r) {
-          expand(static_cast<uint32_t>(r));
-        }
-      } else {
-        for (uint32_t r : ch.sel) {
-          expand(r);
-        }
-      }
+      });
       ExpandChunk(&next, ch, old_cols, scratch);
     }
     *table = std::move(next);
@@ -530,18 +363,8 @@ Status ApplyPatternColumnar(const TriplePattern& p, const NeighborSource& src,
     ExpansionScratch scratch;
     for (const ColumnarChunk& ch : table->chunks()) {
       scratch.Clear(ch.active());
-      auto seed = [&](uint32_t r) {
-        scratch.Push(r, subjects.data(), subjects.size());
-      };
-      if (ch.dense) {
-        for (size_t r = 0; r < ch.size; ++r) {
-          seed(static_cast<uint32_t>(r));
-        }
-      } else {
-        for (uint32_t r : ch.sel) {
-          seed(r);
-        }
-      }
+      ch.ForEachActive(
+          [&](uint32_t r) { scratch.Push(r, subjects.data(), subjects.size()); });
       ExpandChunk(&mid, ch, old_cols, scratch);
     }
   }
@@ -568,23 +391,22 @@ Status ApplyPatternColumnar(const TriplePattern& p, const NeighborSource& src,
   return Status::Ok();
 }
 
-// Pattern loop shared by both pipelines (they differ only in table type).
-template <typename Table, typename ApplyFn>
-StatusOr<Table> RunPatternLoop(const Query& q, const std::vector<int>& plan,
-                               const ExecContext& ctx, const StepHook& hook,
-                               const ApplyFn& apply) {
+}  // namespace
+
+StatusOr<ColumnarTable> ExecutePatterns(const Query& q, const std::vector<int>& plan,
+                                        const ExecContext& ctx,
+                                        const StepHook& hook) {
   if (plan.size() != q.patterns.size()) {
     return Status::Internal("plan does not cover all patterns");
   }
   obs::Tracer::Span span = StageSpan(ctx, "exec/patterns");
   span.Arg("patterns", static_cast<uint64_t>(plan.size()));
-  Table table;
+  ColumnarTable table;
   for (int idx : plan) {
     const TriplePattern& p = q.patterns[static_cast<size_t>(idx)];
-    const NeighborSource* src = SourceFor(ctx, p.graph);
     size_t rows_before = table.num_rows();
     size_t cols_before = table.num_cols();
-    Status s = apply(p, *src, &table);
+    Status s = ApplyPatternColumnar(p, *SourceFor(ctx, p.graph), &table);
     if (!s.ok()) {
       return s;
     }
@@ -600,52 +422,6 @@ StatusOr<Table> RunPatternLoop(const Query& q, const std::vector<int>& plan,
   }
   span.Arg("rows", static_cast<uint64_t>(table.num_rows()));
   return table;
-}
-
-}  // namespace
-
-StatusOr<BindingTable> ExecutePatternsRow(const Query& q, const std::vector<int>& plan,
-                                          const ExecContext& ctx,
-                                          const StepHook& hook) {
-  return RunPatternLoop<BindingTable>(q, plan, ctx, hook, ApplyPatternRow);
-}
-
-StatusOr<ColumnarTable> ExecutePatterns(const Query& q, const std::vector<int>& plan,
-                                        const ExecContext& ctx,
-                                        const StepHook& hook) {
-  return RunPatternLoop<ColumnarTable>(q, plan, ctx, hook, ApplyPatternColumnar);
-}
-
-Status ApplyFilters(const Query& q, const ExecContext& ctx, BindingTable* table) {
-  if (q.filters.empty() || table->num_cols() == 0) {
-    return Status::Ok();
-  }
-  obs::Tracer::Span span = StageSpan(ctx, "exec/filters");
-  span.Arg("filters", static_cast<uint64_t>(q.filters.size()))
-      .Arg("rows_in", static_cast<uint64_t>(table->num_rows()));
-  for (const FilterExpr& f : q.filters) {
-    int col = table->ColumnOf(f.var);
-    if (col < 0) {
-      return Status::InvalidArgument("FILTER references unbound variable ?" +
-                                     q.var_names[static_cast<size_t>(f.var)]);
-    }
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      bool keep = false;
-      Status s = EvalFilter(f, table->At(r, col), ctx.strings, &keep);
-      if (!s.ok()) {
-        return s;
-      }
-      if (keep) {
-        next.AppendRow(table->Row(r));
-      }
-    }
-    *table = std::move(next);
-  }
-  return Status::Ok();
 }
 
 Status ApplyFilters(const Query& q, const ExecContext& ctx, ColumnarTable* table) {
@@ -670,45 +446,20 @@ Status ApplyFilters(const Query& q, const ExecContext& ctx, ColumnarTable* table
         // loop over the id column instead of through the Status-returning
         // generic path (which costs more than the compare itself).
         const VertexId* vals = ch.cols[col];
-        if (ch.dense) {
-          for (size_t r = 0; r < ch.size; ++r) {
-            if (f.MatchesVertex(vals[r])) {
-              keep.push_back(static_cast<uint32_t>(r));
-            }
+        ch.ForEachActive([&](uint32_t r) {
+          if (f.MatchesVertex(vals[r])) {
+            keep.push_back(r);
           }
-        } else {
-          for (uint32_t r : ch.sel) {
-            if (f.MatchesVertex(vals[r])) {
-              keep.push_back(r);
-            }
-          }
-        }
+        });
       } else {
-        auto eval = [&](uint32_t r) -> bool {
+        ch.ForEachActive([&](uint32_t r) -> bool {
           bool k = false;
-          Status s = EvalFilter(f, ch.cols[col][r], ctx.strings, &k);
-          if (!s.ok()) {
-            err = s;
-            return false;
-          }
+          err = EvalNumericFilter(f, ch.cols[col][r], ctx.strings, &k);
           if (k) {
             keep.push_back(r);
           }
-          return true;
-        };
-        if (ch.dense) {
-          for (size_t r = 0; r < ch.size; ++r) {
-            if (!eval(static_cast<uint32_t>(r))) {
-              break;
-            }
-          }
-        } else {
-          for (uint32_t r : ch.sel) {
-            if (!eval(r)) {
-              break;
-            }
-          }
-        }
+          return err.ok();
+        });
       }
       if (!err.ok()) {
         return err;
@@ -725,6 +476,15 @@ Status ApplyFilters(const Query& q, const ExecContext& ctx, ColumnarTable* table
   return Status::Ok();
 }
 
+namespace {
+
+// DISTINCT key of a numeric value: the double's bit pattern, so values that
+// differ in any bit stay distinct and negative values are keyed like any
+// other. -0.0 equals 0.0 and shares its key.
+uint64_t NumberKey(double d) { return std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d); }
+
+}  // namespace
+
 // Solution-sequence modifiers: DISTINCT, ORDER BY, LIMIT — applied in that
 // order, after projection/aggregation.
 Status FinalizeSolution(const Query& q, const ExecContext& ctx,
@@ -737,8 +497,7 @@ Status FinalizeSolution(const Query& q, const ExecContext& ctx,
       std::vector<std::pair<bool, uint64_t>> key;
       key.reserve(row.size());
       for (const ResultValue& v : row) {
-        key.emplace_back(v.is_number,
-                         v.is_number ? static_cast<uint64_t>(v.number * 1e6) : v.vid);
+        key.emplace_back(v.is_number, v.is_number ? NumberKey(v.number) : v.vid);
       }
       if (seen.insert(std::move(key)).second) {
         unique.push_back(std::move(row));
@@ -801,7 +560,7 @@ Status FinalizeSolution(const Query& q, const ExecContext& ctx,
 namespace {
 
 // Result column names (COUNT(x), SUM(x), ... wrappers), shared by both
-// projection implementations.
+// ProjectResult overloads.
 void ProjectColumnNames(const Query& q, QueryResult* result) {
   for (const SelectItem& item : q.select) {
     std::string name = q.var_names[static_cast<size_t>(item.var)];
@@ -1019,62 +778,9 @@ StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
 
 namespace {
 
-// OPTIONAL group evaluation for one left-hand row: runs the group's patterns
-// seeded with the row's bindings and appends the joined (or unbound-padded)
-// rows to `next`. Shared by both pipelines; the per-row seed tables are tiny,
-// so the row machinery serves both.
-Status OptionalJoinRow(const std::vector<TriplePattern>& group,
-                       const ExecContext& ctx, const std::vector<int>& vars,
-                       const std::vector<int>& new_vars, const VertexId* row,
-                       size_t old_cols, std::vector<VertexId>* row_buffer,
-                       const std::function<void(const VertexId*)>& emit) {
-  BindingTable seed;
-  for (int v : vars) {
-    seed.AddColumn(v);
-  }
-  if (old_cols > 0) {
-    seed.AppendRow(row);
-  }
-  bool dead = false;
-  for (const TriplePattern& p : group) {
-    const NeighborSource* src = SourceFor(ctx, p.graph);
-    Status s = ApplyPatternRow(p, *src, &seed);
-    if (!s.ok()) {
-      return s;
-    }
-    if (seed.num_rows() == 0) {
-      dead = true;
-      break;
-    }
-  }
-  if (dead) {
-    // No match: keep the row; the group's variables stay unbound.
-    for (size_t c = 0; c < old_cols; ++c) {
-      (*row_buffer)[c] = row[c];
-    }
-    for (size_t c = old_cols; c < row_buffer->size(); ++c) {
-      (*row_buffer)[c] = kUnboundBinding;
-    }
-    emit(row_buffer->data());
-    return Status::Ok();
-  }
-  for (size_t sr = 0; sr < seed.num_rows(); ++sr) {
-    for (size_t c = 0; c < old_cols; ++c) {
-      (*row_buffer)[c] = row[c];
-    }
-    for (size_t c = 0; c < new_vars.size(); ++c) {
-      int col = seed.ColumnOf(new_vars[c]);
-      (*row_buffer)[old_cols + c] = col >= 0 ? seed.At(sr, col) : kUnboundBinding;
-    }
-    emit(row_buffer->data());
-  }
-  return Status::Ok();
-}
-
 // Variables an OPTIONAL group introduces on top of the current bindings.
-template <typename Table>
 std::vector<int> OptionalNewVars(const std::vector<TriplePattern>& group,
-                                 const Table& table) {
+                                 const ColumnarTable& table) {
   std::vector<int> new_vars;
   for (const TriplePattern& p : group) {
     for (const Term* t : {&p.subject, &p.object}) {
@@ -1089,35 +795,22 @@ std::vector<int> OptionalNewVars(const std::vector<TriplePattern>& group,
 
 }  // namespace
 
-Status ApplyOptionals(const Query& q, const ExecContext& ctx, BindingTable* table) {
-  for (const std::vector<TriplePattern>& group : q.optionals) {
-    std::vector<int> new_vars = OptionalNewVars(group, *table);
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    for (int v : new_vars) {
-      next.AddColumn(v);
-    }
-    const size_t old_cols = table->num_cols();
-    std::vector<VertexId> row_buffer(next.num_cols());
-    auto emit = [&](const VertexId* r) { next.AppendRow(r); };
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      const VertexId* row = old_cols > 0 ? table->Row(r) : nullptr;
-      Status s = OptionalJoinRow(group, ctx, table->vars(), new_vars, row,
-                                 old_cols, &row_buffer, emit);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    *table = std::move(next);
-  }
-  return Status::Ok();
-}
-
+// Each group is one batched left join. The seed table holds the left columns
+// the group joins on plus each left row's ordinal in a column no pattern can
+// bind; the group's patterns run over it once each, and since expansion keeps
+// source-row order, the matches come out grouped by ascending ordinal. One
+// merge walk over the left table then emits every match of row i (or one
+// unbound-padded row) before row i + 1 — the order a per-row evaluation
+// would produce. A left table with no columns is the unit table: the group
+// runs unseeded, exactly as for a single row with no bindings.
 Status ApplyOptionals(const Query& q, const ExecContext& ctx, ColumnarTable* table) {
+  const int ordinal_var = static_cast<int>(q.var_names.size());
   for (const std::vector<TriplePattern>& group : q.optionals) {
     std::vector<int> new_vars = OptionalNewVars(group, *table);
+    const size_t old_cols = table->num_cols();
+    if (old_cols == 0 && new_vars.empty() && table->num_rows() > 0) {
+      continue;  // The unit row survives whether the constant group matches.
+    }
     ColumnarTable next;
     for (int v : table->vars()) {
       next.AddColumn(v);
@@ -1125,33 +818,90 @@ Status ApplyOptionals(const Query& q, const ExecContext& ctx, ColumnarTable* tab
     for (int v : new_vars) {
       next.AddColumn(v);
     }
-    const size_t old_cols = table->num_cols();
-    std::vector<VertexId> row_buffer(next.num_cols());
-    std::vector<VertexId> left(old_cols);
-    auto emit = [&](const VertexId* r) { next.AppendRow(r); };
-    Status err = Status::Ok();
-    if (old_cols == 0) {
-      // Unit table: zero-column tables hold no chunks, so drive the single
-      // implicit row (if it survived) directly.
-      for (size_t r = 0; r < table->num_rows(); ++r) {
-        err = OptionalJoinRow(group, ctx, table->vars(), new_vars, nullptr, 0,
-                              &row_buffer, emit);
-        if (!err.ok()) {
-          return err;
+    if (table->num_rows() == 0) {
+      *table = std::move(next);
+      continue;
+    }
+
+    ColumnarTable seed;
+    int ordinal_col = -1;
+    if (old_cols > 0) {
+      std::vector<int> join_cols;
+      for (const TriplePattern& p : group) {
+        for (const Term* t : {&p.subject, &p.object}) {
+          if (t->is_var() && table->IsBound(t->var) && !seed.IsBound(t->var)) {
+            seed.AddColumn(t->var);
+            join_cols.push_back(table->ColumnOf(t->var));
+          }
         }
       }
-    } else {
-      table->ForEachActiveRow([&](const ColumnarChunk& ch, size_t r) -> bool {
-        for (size_t c = 0; c < old_cols; ++c) {
-          left[c] = ch.cols[c][r];
+      ordinal_col = seed.AddColumn(ordinal_var);
+      std::vector<VertexId> seed_row(seed.num_cols());
+      VertexId ordinal = 0;
+      table->ForEachActiveRow([&](const ColumnarChunk& ch, size_t r) {
+        for (size_t c = 0; c < join_cols.size(); ++c) {
+          seed_row[c] = ch.cols[static_cast<size_t>(join_cols[c])][r];
         }
-        err = OptionalJoinRow(group, ctx, table->vars(), new_vars, left.data(),
-                              old_cols, &row_buffer, emit);
-        return err.ok();
+        seed_row.back() = ordinal++;
+        seed.AppendRow(seed_row.data());
       });
-      if (!err.ok()) {
-        return err;
+    }
+    for (const TriplePattern& p : group) {
+      Status s = ApplyPatternColumnar(p, *SourceFor(ctx, p.graph), &seed);
+      if (!s.ok()) {
+        return s;
       }
+      if (seed.num_rows() == 0) {
+        break;
+      }
+    }
+
+    // The matches, flattened: the left-row ordinal of each group row and its
+    // new-variable values (every group variable is bound once the group
+    // produced rows).
+    std::vector<VertexId> match_ordinal;
+    std::vector<VertexId> match_values;
+    if (seed.num_rows() > 0) {
+      std::vector<size_t> new_cols;
+      for (int v : new_vars) {
+        new_cols.push_back(static_cast<size_t>(seed.ColumnOf(v)));
+      }
+      seed.ForEachActiveRow([&](const ColumnarChunk& ch, size_t r) {
+        match_ordinal.push_back(
+            ordinal_col >= 0 ? ch.cols[static_cast<size_t>(ordinal_col)][r] : 0);
+        for (size_t c : new_cols) {
+          match_values.push_back(ch.cols[c][r]);
+        }
+      });
+    }
+    assert(std::is_sorted(match_ordinal.begin(), match_ordinal.end()));
+
+    // Merge: row[0, old_cols) holds the current left row.
+    std::vector<VertexId> row(next.num_cols());
+    size_t m = 0;
+    auto emit = [&](VertexId ordinal) {
+      if (m == match_ordinal.size() || match_ordinal[m] != ordinal) {
+        std::fill(row.begin() + static_cast<ptrdiff_t>(old_cols), row.end(),
+                  kUnboundBinding);
+        next.AppendRow(row.data());
+        return;
+      }
+      for (; m < match_ordinal.size() && match_ordinal[m] == ordinal; ++m) {
+        std::copy_n(match_values.begin() + static_cast<ptrdiff_t>(m * new_vars.size()),
+                    new_vars.size(), row.begin() + static_cast<ptrdiff_t>(old_cols));
+        next.AppendRow(row.data());
+      }
+    };
+    if (old_cols == 0) {
+      emit(0);
+    } else {
+      VertexId ordinal = 0;
+      table->ForEachActiveRow([&](const ColumnarChunk& ch, size_t r) {
+        for (size_t c = 0; c < old_cols; ++c) {
+          row[c] = ch.cols[c][r];
+        }
+        emit(ordinal++);
+      });
     }
     *table = std::move(next);
   }
@@ -1160,22 +910,7 @@ Status ApplyOptionals(const Query& q, const ExecContext& ctx, ColumnarTable* tab
 
 StatusOr<QueryResult> ExecutePipeline(const Query& q, const std::vector<int>& plan,
                                       const ExecContext& ctx, const StepHook& hook) {
-  if (ctx.columnar) {
-    auto table = ExecutePatterns(q, plan, ctx, hook);
-    if (!table.ok()) {
-      return table.status();
-    }
-    Status os = ApplyOptionals(q, ctx, &table.value());
-    if (!os.ok()) {
-      return os;
-    }
-    Status fs = ApplyFilters(q, ctx, &table.value());
-    if (!fs.ok()) {
-      return fs;
-    }
-    return ProjectResult(q, ctx, table.value());
-  }
-  auto table = ExecutePatternsRow(q, plan, ctx, hook);
+  auto table = ExecutePatterns(q, plan, ctx, hook);
   if (!table.ok()) {
     return table.status();
   }
@@ -1190,13 +925,20 @@ StatusOr<QueryResult> ExecutePipeline(const Query& q, const std::vector<int>& pl
   return ProjectResult(q, ctx, table.value());
 }
 
-namespace {
-
-StatusOr<DeltaTable> ExecuteDeltaPatternsColumnar(const Query& q,
-                                                  const std::vector<int>& plan,
-                                                  const ExecContext& ctx,
-                                                  const DeltaSpec& spec,
-                                                  obs::Tracer::Span& span) {
+StatusOr<DeltaTable> ExecuteDeltaPatterns(const Query& q,
+                                          const std::vector<int>& plan,
+                                          const ExecContext& ctx,
+                                          const DeltaSpec& spec) {
+  if (plan.size() != q.patterns.size()) {
+    return Status::Internal("plan does not cover all patterns");
+  }
+  if (spec.cache == nullptr || spec.window_pos >= plan.size() ||
+      !spec.slice_source) {
+    return Status::Internal("delta execution without a cache or window split");
+  }
+  obs::Tracer::Span span = StageSpan(ctx, "exec/delta");
+  span.Arg("batches", static_cast<uint64_t>(spec.batches.size()))
+      .Arg("patterns", static_cast<uint64_t>(plan.size()));
   // Stored-graph prefix: window-independent, so one table serves every slice
   // and every trigger until an epoch flush.
   ColumnarTable prefix;
@@ -1292,120 +1034,6 @@ StatusOr<DeltaTable> ExecuteDeltaPatternsColumnar(const Query& q,
       .Arg("fresh", out.slices_fresh)
       .Arg("rows", static_cast<uint64_t>(out.table.num_rows()));
   return out;
-}
-
-StatusOr<DeltaTable> ExecuteDeltaPatternsRow(const Query& q,
-                                             const std::vector<int>& plan,
-                                             const ExecContext& ctx,
-                                             const DeltaSpec& spec,
-                                             obs::Tracer::Span& span) {
-  // Row twin of the delta pipeline. The cache stores columnar tables in both
-  // modes (the DeltaCache value type is the chunk layout); the row view
-  // adapter converts at the cache boundary with row order preserved.
-  BindingTable prefix;
-  ColumnarTable cached;
-  if (spec.cache->GetPrefix(&cached)) {
-    prefix = cached.ToRows();
-  } else {
-    for (size_t i = 0; i < spec.window_pos; ++i) {
-      const TriplePattern& p = q.patterns[static_cast<size_t>(plan[i])];
-      Status s = ApplyPatternRow(p, *SourceFor(ctx, p.graph), &prefix);
-      if (!s.ok()) {
-        return s;
-      }
-      if (prefix.num_rows() == 0) {
-        break;
-      }
-    }
-    spec.cache->PutPrefix(ColumnarTable::FromRows(prefix));
-  }
-
-  DeltaTable out;
-  BindingTable union_rows;
-  const TriplePattern& wp =
-      q.patterns[static_cast<size_t>(plan[spec.window_pos])];
-  if (prefix.num_rows() > 0) {
-    for (BatchSeq b : spec.batches) {
-      BindingTable contrib;
-      if (spec.cache->GetContribution(b, &cached)) {
-        ++out.slices_cached;
-        contrib = cached.ToRows();
-      } else {
-        ++out.slices_fresh;
-        contrib = prefix;
-        Status s = ApplyPatternRow(wp, *spec.slice_source(b), &contrib);
-        if (!s.ok()) {
-          return s;
-        }
-        for (size_t i = spec.window_pos + 1;
-             i < plan.size() && contrib.num_rows() > 0; ++i) {
-          const TriplePattern& p = q.patterns[static_cast<size_t>(plan[i])];
-          s = ApplyPatternRow(p, *SourceFor(ctx, p.graph), &contrib);
-          if (!s.ok()) {
-            return s;
-          }
-        }
-        if (contrib.num_rows() > 0) {
-          Status os = ApplyOptionals(q, ctx, &contrib);
-          if (!os.ok()) {
-            return os;
-          }
-          Status fs = ApplyFilters(q, ctx, &contrib);
-          if (!fs.ok()) {
-            return fs;
-          }
-        }
-        spec.cache->PutContribution(b, ColumnarTable::FromRows(contrib));
-      }
-      if (contrib.num_rows() == 0) {
-        continue;
-      }
-      if (contrib.num_cols() == 0) {
-        out.fallback = true;
-        return out;
-      }
-      if (union_rows.num_cols() == 0) {
-        for (int v : contrib.vars()) {
-          union_rows.AddColumn(v);
-        }
-      }
-      assert(contrib.num_cols() == union_rows.num_cols());
-      for (size_t r = 0; r < contrib.num_rows(); ++r) {
-        union_rows.AppendRow(contrib.Row(r));
-      }
-    }
-  }
-  if (union_rows.num_cols() == 0) {
-    union_rows.FailUnit();
-    out.fallback = !q.filters.empty();
-  }
-  out.table = ColumnarTable::FromRows(union_rows);
-  span.Arg("cached", out.slices_cached)
-      .Arg("fresh", out.slices_fresh)
-      .Arg("rows", static_cast<uint64_t>(out.table.num_rows()));
-  return out;
-}
-
-}  // namespace
-
-StatusOr<DeltaTable> ExecuteDeltaPatterns(const Query& q,
-                                          const std::vector<int>& plan,
-                                          const ExecContext& ctx,
-                                          const DeltaSpec& spec) {
-  if (plan.size() != q.patterns.size()) {
-    return Status::Internal("plan does not cover all patterns");
-  }
-  if (spec.cache == nullptr || spec.window_pos >= plan.size() ||
-      !spec.slice_source) {
-    return Status::Internal("delta execution without a cache or window split");
-  }
-  obs::Tracer::Span span = StageSpan(ctx, "exec/delta");
-  span.Arg("batches", static_cast<uint64_t>(spec.batches.size()))
-      .Arg("patterns", static_cast<uint64_t>(plan.size()));
-  if (ctx.columnar) {
-    return ExecuteDeltaPatternsColumnar(q, plan, ctx, spec, span);
-  }
-  return ExecuteDeltaPatternsRow(q, plan, ctx, spec, span);
 }
 
 StatusOr<QueryResult> ExecuteQuery(const Query& q, const std::vector<int>& plan,

@@ -6,13 +6,12 @@
 // inside the NeighborSource implementations (paper §5 "in-place execution"),
 // so pattern evaluation here is pure exploration.
 //
-// Two pipelines share this interface (DESIGN.md §5.13). The primary pipeline
-// carries bindings in column-major ColumnarTables — pattern expansion is a
-// batched scan-join over arena-allocated id columns, and pruning steps only
-// touch selection vectors. The legacy row-major pipeline (the *Row entry
-// points) is kept bit-for-bit: the differential harness runs both on the same
-// seeds and demands byte-identical projected results, and the composite
-// baselines deliberately keep the row path to model the pre-refactor engine.
+// There is one pipeline (DESIGN.md §5.13). It carries bindings in
+// column-major ColumnarTables: pattern expansion is a batched scan-join over
+// arena-allocated id columns, pruning steps only touch selection vectors, and
+// each OPTIONAL group is one batched left join. The row-major BindingTable
+// survives only as the input of aggregation (ProjectResult's row overload).
+// The testkit reference oracle, not a second executor, arbitrates results.
 
 #ifndef SRC_ENGINE_EXECUTOR_H_
 #define SRC_ENGINE_EXECUTOR_H_
@@ -31,6 +30,12 @@
 
 namespace wukongs {
 
+// Per-step observer: invoked after each pattern with the pattern, the table
+// shape before the step, and the row count after. Fork-join engines use it to
+// charge per-step shipping costs.
+using StepHook = std::function<void(const TriplePattern& pattern, size_t rows_before,
+                                    size_t cols_before, size_t rows_after)>;
+
 struct ExecContext {
   // sources[0] answers stored-graph patterns; sources[1 + w] answers patterns
   // scoped to Query::windows[w].
@@ -40,28 +45,16 @@ struct ExecContext {
   // null = tracing off. `trace_node` is the executing node for the tid field.
   obs::Tracer* tracer = nullptr;
   uint32_t trace_node = 0;
-  // Pipeline selector for the entry points that dispatch (ExecutePipeline,
-  // ExecuteQuery, ExecuteDeltaPatterns). The row pipeline exists for the
-  // columnar-vs-row differential twin and the composite baselines.
-  bool columnar = true;
   // Passive per-step statistics observer (§5.14): invoked with the same
   // arguments as the caller's StepHook after every pattern step, regardless
   // of which engine (fork-join or in-place) supplied a hook. The cluster
   // points this at the live-stats collector for production executions only —
   // planning and shadow-parity contexts leave it unset so observation never
   // feeds back on itself.
-  std::function<void(const TriplePattern& pattern, size_t rows_before,
-                     size_t cols_before, size_t rows_after)>
-      observe;
+  StepHook observe;
 };
 
-// Per-step observer: invoked after each pattern with the pattern, the table
-// shape before the step, and the row count after. Fork-join engines use it to
-// charge per-step shipping costs. Both pipelines report identical numbers.
-using StepHook = std::function<void(const TriplePattern& pattern, size_t rows_before,
-                                    size_t cols_before, size_t rows_after)>;
-
-// --- Columnar pipeline (primary) -------------------------------------------
+// --- Pipeline stages -------------------------------------------------------
 
 // Executes patterns in `plan` order (indices into q.patterns) and returns the
 // columnar binding table before projection.
@@ -71,7 +64,9 @@ StatusOr<ColumnarTable> ExecutePatterns(const Query& q, const std::vector<int>& 
 
 // Left-joins each of q.optionals onto `table`: rows extend with the group's
 // bindings when the group matches, otherwise keep their bindings with the
-// group's new variables set to kUnboundBinding.
+// group's new variables set to kUnboundBinding. Each group runs once over the
+// whole table; the output keeps left-row order, with every match of a row in
+// the group's enumeration order.
 Status ApplyOptionals(const Query& q, const ExecContext& ctx, ColumnarTable* table);
 
 // Applies q.filters to `table` in place. Pure selection: dropped rows leave
@@ -79,20 +74,17 @@ Status ApplyOptionals(const Query& q, const ExecContext& ctx, ColumnarTable* tab
 Status ApplyFilters(const Query& q, const ExecContext& ctx, ColumnarTable* table);
 
 // Projects/aggregates `table` into the result (no solution modifiers).
+// Aggregates go through the table's row view and the row overload below.
 StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
                                     const ColumnarTable& table);
 
-// --- Row pipeline (legacy / baselines / differential twin) -----------------
-
-StatusOr<BindingTable> ExecutePatternsRow(const Query& q, const std::vector<int>& plan,
-                                          const ExecContext& ctx,
-                                          const StepHook& hook = {});
-Status ApplyOptionals(const Query& q, const ExecContext& ctx, BindingTable* table);
-Status ApplyFilters(const Query& q, const ExecContext& ctx, BindingTable* table);
+// The one implementation of GROUP BY and aggregates, over a row-major table.
+// Also the entry point for callers that assemble rows themselves (MQO
+// fan-out, the relational baselines).
 StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
                                     const BindingTable& table);
 
-// --- Shared tail + dispatch ------------------------------------------------
+// --- Tail and whole-query entry points -------------------------------------
 
 // Applies the solution-sequence modifiers (DISTINCT, ORDER BY, LIMIT).
 // Separate from ProjectResult so UNION branches can be projected first and
@@ -100,9 +92,8 @@ StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
 Status FinalizeSolution(const Query& q, const ExecContext& ctx,
                         QueryResult* result);
 
-// Runs patterns -> optionals -> filters -> projection on the pipeline
-// selected by ctx.columnar. Solution modifiers are left to the caller (UNION
-// branches concatenate first).
+// Runs patterns -> optionals -> filters -> projection. Solution modifiers
+// are left to the caller (UNION branches concatenate first).
 StatusOr<QueryResult> ExecutePipeline(const Query& q, const std::vector<int>& plan,
                                       const ExecContext& ctx,
                                       const StepHook& hook = {});
@@ -150,10 +141,8 @@ struct DeltaSpec {
 };
 
 struct DeltaTable {
-  // Union of contributions, post OPTIONALs + FILTERs. Columnar in both
-  // pipeline modes: the union adopts cached chunks without copying, and the
-  // row pipeline converts through the row-view adapter at the cache boundary
-  // (contribution keys and row order are unchanged).
+  // Union of contributions, post OPTIONALs + FILTERs. The union adopts
+  // cached chunks without copying.
   ColumnarTable table;
   // Union came out empty while the query carries FILTERs: the caller must
   // fall back to the cold path so early-exit error semantics (FILTER over a

@@ -70,29 +70,15 @@ double EstimatePatternCost(const TriplePattern& p, const std::vector<bool>& boun
         return std::min(64.0, 1.0 + observed);
       }
     }
+    // The expansion is a per-chunk batched gather (§5.13), so the estimate
+    // counts chunk cardinality — how much of a chunk the predicate's seed
+    // population fills — not raw rows. The ratio keeps the ranking monotone
+    // in the seed count (two sparse windows still order correctly) without
+    // saturating dense predicates to one cap.
     const size_t seeds =
         src->EstimateCount(Key(kIndexVertex, p.predicate, Dir::kOut));
-    const double row_est = std::min(16.0, 1.0 + static_cast<double>(seeds));
-    if (hints.chunk_rows > 0) {
-      // Columnar executor: the expansion is a per-chunk batched gather, so
-      // what the estimate should count is chunk cardinality — how much of a
-      // chunk the predicate's seed population fills — not raw rows. The
-      // ratio keeps the ranking monotone in the seed count (two sparse
-      // windows still order correctly) while de-weighting dense predicates
-      // that the row estimate saturated to the same cap.
-      const double chunk_est =
-          std::min(16.0, 1.0 + static_cast<double>(seeds) /
-                                   static_cast<double>(hints.chunk_rows));
-      // Batching can only amortize work: a chunked gather over the same seed
-      // population never costs more than the per-row walk. If the two
-      // estimates disagree the hint carries a nonsensical chunk size (or one
-      // formula was edited without the other) — trap loudly in debug builds
-      // and reconcile to the tighter bound instead of diverging silently.
-      assert(chunk_est <= row_est + 1e-9 &&
-             "chunk-cardinality estimate exceeds the row estimate");
-      return std::min(chunk_est, row_est);
-    }
-    return row_est;
+    return std::min(16.0, 1.0 + static_cast<double>(seeds) /
+                                    static_cast<double>(kColumnarChunkRows));
   }
   // Both endpoints free: index-vertex scan over every pid edge.
   size_t n = src->EstimateCount(Key(kIndexVertex, p.predicate, Dir::kOut));

@@ -29,15 +29,6 @@ struct PlanHints {
   // patterns last — so the cached prefix table and per-slice contributions
   // stay reusable across triggers.
   bool delta_cache = false;
-  // Rows per columnar chunk (§5.13). Bound-variable expansion is batched per
-  // chunk, so its cost scales with how many chunk-granular gather passes the
-  // seed set fills, not with the raw seed count the row executor paid per
-  // row. 0 selects the legacy row-count estimate (used by the composite
-  // baselines, which keep the row pipeline). Whatever the chunk size, the
-  // chunked estimate can never exceed the row estimate for the same seed
-  // population; EstimatePatternCost reconciles the two (asserting in debug
-  // builds) so they cannot disagree silently.
-  size_t chunk_rows = kColumnarChunkRows;
   // Live statistics (§5.14): when set, an observed fan-out for a pattern's
   // (scope, predicate) overrides the seed-count heuristic for bound-variable
   // expansion. Null = static estimates only (the default everywhere except

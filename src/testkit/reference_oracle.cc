@@ -1,6 +1,7 @@
 #include "src/testkit/reference_oracle.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -382,8 +383,11 @@ Status Finalize(const Query& q, const StringServer* strings,
       std::vector<std::pair<bool, uint64_t>> key;
       key.reserve(row.size());
       for (const ResultValue& v : row) {
+        // Bit pattern of the number (-0.0 folded onto 0.0): exact, and
+        // defined for negative values.
         key.emplace_back(v.is_number,
-                         v.is_number ? static_cast<uint64_t>(v.number * 1e6)
+                         v.is_number ? std::bit_cast<uint64_t>(
+                                           v.number == 0.0 ? 0.0 : v.number)
                                      : v.vid);
       }
       if (seen.insert(std::move(key)).second) {

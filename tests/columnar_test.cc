@@ -4,7 +4,7 @@
 // the executor's batched kernels rely on: selection vectors strictly
 // increasing and in-bounds, every column of a chunk the same length, arena
 // lifetime spanning chunk handoff (AppendTable, copies, cache-style sharing),
-// and the row-view adapter round-tripping with row order intact. The
+// and the row view keeping row order intact. The
 // vectorized kernels are checked against scalar references, and the §5.13
 // arena-sharing semantics behind the `stale_arena_reuse` planted mutation are
 // pinned deterministically.
@@ -216,7 +216,13 @@ TEST(ColumnarChunkTest, RowViewRoundTripPreservesOrder) {
     ASSERT_EQ(rows.vars(), t.vars()) << "seed " << seed;
     ASSERT_EQ(Flatten(rows), model) << "seed " << seed << ": row view lost "
                                     << "content or order";
-    ColumnarTable back = ColumnarTable::FromRows(rows);
+    ColumnarTable back;
+    for (int v : rows.vars()) {
+      back.AddColumn(v);
+    }
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      back.AppendRow(rows.Row(r));
+    }
     ASSERT_TRUE(ChunkInvariantsHold(back)) << "seed " << seed;
     ASSERT_EQ(back.vars(), t.vars()) << "seed " << seed;
     ASSERT_EQ(Flatten(back), model) << "seed " << seed << ": round trip "
@@ -226,19 +232,13 @@ TEST(ColumnarChunkTest, RowViewRoundTripPreservesOrder) {
 
 TEST(ColumnarChunkTest, RowViewKeepsUnitTableSemantics) {
   // A zero-column table is one implicit row until failed, exactly like
-  // BindingTable — and the adapter must carry that bit both ways.
+  // BindingTable — and the row view must carry that bit.
   ColumnarTable unit;
   EXPECT_EQ(unit.num_rows(), 1u);
   EXPECT_EQ(unit.ToRows().num_rows(), 1u);
   unit.FailUnit();
   EXPECT_EQ(unit.num_rows(), 0u);
   EXPECT_EQ(unit.ToRows().num_rows(), 0u);
-
-  BindingTable alive;
-  EXPECT_EQ(ColumnarTable::FromRows(alive).num_rows(), 1u);
-  BindingTable dead;
-  dead.FailUnit();
-  EXPECT_EQ(ColumnarTable::FromRows(dead).num_rows(), 0u);
 }
 
 TEST(ColumnarChunkTest, AdoptedChunksOutliveTheBuilder) {

@@ -138,12 +138,13 @@ constexpr char kDeltaQuery[] = R"(
 
 class DeltaClusterTest : public ::testing::Test {
  protected:
-  void Init(uint32_t nodes, bool delta_enabled = true, bool columnar = true) {
+  void Init(uint32_t nodes, bool delta_enabled = true,
+            uint64_t batches_per_sn = 1) {
     ClusterConfig config;
     config.nodes = nodes;
     config.batch_interval_ms = kIntervalMs;
+    config.batches_per_sn = batches_per_sn;
     config.delta_cache_enabled = delta_enabled;
-    config.columnar_executor = columnar;
     cluster_ = std::make_unique<Cluster>(config);
     // `at` is a timing predicate: its tuples live only in transient slices,
     // so feeding the stream never moves the stored-graph epoch and delta
@@ -220,40 +221,67 @@ TEST_F(DeltaClusterTest, SlidingTriggersServeCachedSlices) {
 }
 
 TEST_F(DeltaClusterTest, ColumnarDeltaUnionsStayBagIdenticalToColdRecompute) {
-  // §5.13 parity regression: the DeltaCache now stores ColumnarTable
+  // §5.13 parity regression: the DeltaCache stores ColumnarTable
   // contributions whose chunks the trigger-time union *adopts* (no row
-  // copies), and the row pipeline reaches the same cache through the
-  // row-view adapter. Both executor modes must keep every delta trigger
-  // bag-identical to a cold full-window recompute, and — because cached
-  // BatchSeq keys and row order are part of the adapter contract — the two
-  // modes must agree with each other window for window.
-  std::vector<std::multiset<std::string>> per_mode;
-  for (bool columnar : {true, false}) {
-    Init(2, /*delta_enabled=*/true, columnar);
-    auto h = cluster_->RegisterContinuous(kDeltaQuery);
-    ASSERT_TRUE(h.ok()) << h.status().ToString();
-    ASSERT_TRUE(cluster_->HasDeltaCache(*h));
-    std::multiset<std::string> all;
-    for (StreamTime end = 1000; end <= 2500; end += kIntervalMs) {
-      ASSERT_TRUE(cluster_->FeedStream(stream_, {PingAt(end - 50)}).ok());
-      cluster_->AdvanceStreams(end);
-      ASSERT_TRUE(cluster_->WindowReady(*h, end));
-      QueryExecution exec = TriggerWithParity(*h, end);  // Delta == cold.
-      if (end > 1000) {
-        EXPECT_TRUE(exec.delta) << "columnar=" << columnar << " end=" << end;
-        EXPECT_GE(exec.delta_slices_cached, 9u)
-            << "columnar=" << columnar << " end=" << end;
-      }
-      for (const std::string& row : Canon(exec.result)) {
-        all.insert(std::to_string(end) + "#" + row);
-      }
+  // copies). Every delta trigger must stay bag-identical to a cold
+  // full-window recompute.
+  Init(2);
+  auto h = cluster_->RegisterContinuous(kDeltaQuery);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  ASSERT_TRUE(cluster_->HasDeltaCache(*h));
+  for (StreamTime end = 1000; end <= 2500; end += kIntervalMs) {
+    ASSERT_TRUE(cluster_->FeedStream(stream_, {PingAt(end - 50)}).ok());
+    cluster_->AdvanceStreams(end);
+    ASSERT_TRUE(cluster_->WindowReady(*h, end));
+    QueryExecution exec = TriggerWithParity(*h, end);  // Delta == cold.
+    if (end > 1000) {
+      EXPECT_TRUE(exec.delta) << "end=" << end;
+      EXPECT_GE(exec.delta_slices_cached, 9u) << "end=" << end;
     }
-    DeltaCache::Stats stats = cluster_->DeltaStatsOf(*h);
-    EXPECT_GT(stats.hits, stats.misses) << "columnar=" << columnar;
-    per_mode.push_back(std::move(all));
   }
-  EXPECT_EQ(per_mode[0], per_mode[1])
-      << "columnar and row delta pipelines delivered different windows";
+  DeltaCache::Stats stats = cluster_->DeltaStatsOf(*h);
+  EXPECT_GT(stats.hits, stats.misses);
+}
+
+TEST_F(DeltaClusterTest, StoredEdgeTurningVisibleFlushesTheCache) {
+  // With two batches per snapshot, a stored-graph edge fed in the first
+  // batch of a snapshot is appended at once but visible only when the second
+  // batch is stable. The trigger in between caches a prefix without it; the
+  // next trigger finds the same appended-edge count, so only the snapshot
+  // term of the stored epoch can flush the stale prefix.
+  Init(2, /*delta_enabled=*/true, /*batches_per_sn=*/2);
+  auto h = cluster_->RegisterContinuous(kDeltaQuery);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  ASSERT_TRUE(cluster_->HasDeltaCache(*h));
+  StringServer* s = cluster_->strings();
+  for (StreamTime end = 100; end <= 1000; end += kIntervalMs) {
+    ASSERT_TRUE(cluster_->FeedStream(stream_, {PingAt(end - 50)}).ok());
+    cluster_->AdvanceStreams(end);
+  }
+  TriggerWithParity(*h, 1000);
+
+  // Batch 10 (the first of snapshot 6): Logan gains a followee who pings.
+  const StreamTuple follow{{s->InternVertex("Logan"), s->InternPredicate("fo"),
+                            s->InternVertex("Zed")},
+                           1020,
+                           TupleKind::kTimeless};
+  const StreamTuple ping{{s->InternVertex("Zed"), s->InternPredicate("at"),
+                          s->InternVertex("Lzed")},
+                         1030,
+                         TupleKind::kTiming};
+  ASSERT_TRUE(cluster_->FeedStream(stream_, {follow, ping}).ok());
+  cluster_->AdvanceStreams(1100);
+  TriggerWithParity(*h, 1100);  // Zed's edge is appended, not yet visible.
+
+  ASSERT_TRUE(cluster_->FeedStream(stream_, {PingAt(1150)}).ok());
+  cluster_->AdvanceStreams(1200);
+  QueryExecution exec = TriggerWithParity(*h, 1200);
+  EXPECT_TRUE(exec.delta);
+  bool saw_zed = false;
+  for (const std::vector<ResultValue>& row : exec.result.rows) {
+    saw_zed = saw_zed || row[0].vid == s->InternVertex("Zed");
+  }
+  EXPECT_TRUE(saw_zed) << "the edge visible at snapshot 6 is missing";
 }
 
 TEST_F(DeltaClusterTest, ColdReExecutionDoesNotTouchTheCache) {
@@ -420,12 +448,12 @@ TEST(DeltaPlannerTest, BoundExpansionRanksByThePatternsOwnWindow) {
 TEST(DeltaPlannerTest, ChunkCardinalityPinsFig13RecomputeOrder) {
   // Regression for the §5.13 estimate fix: the columnar executor expands
   // bound variables with per-chunk batched gathers, so its cost must count
-  // chunk cardinality (seeds / chunk_rows), not raw row counts. On the fig13
-  // L6 recompute shape — a window index scan seeding ?U, then a dense stored
-  // expansion racing a mid-sized window expansion — the legacy row estimate
-  // saturates both candidates at the same cap and ties break to the dense
-  // stored pattern, while the chunked estimate keeps them apart and orders
-  // the cheaper window pattern first. The expected order is pinned in the
+  // chunk cardinality (seeds / kColumnarChunkRows), not raw row counts. On
+  // the fig13 L6 recompute shape — a window index scan seeding ?U, then a
+  // dense stored expansion racing a mid-sized window expansion — a raw-row
+  // estimate would saturate both candidates at the same cap, while the
+  // chunked estimate keeps them apart and orders the cheaper window pattern
+  // first. The expected order is pinned in the
   // plan corpus (§5.14) rather than re-derived from estimator internals.
   StubSource stored(10000), seed_win(8), mid_win(600);
   ExecContext ctx;
@@ -454,17 +482,8 @@ TEST(DeltaPlannerTest, ChunkCardinalityPinsFig13RecomputeOrder) {
                              "/plans/fig13_delta_cache.pin");
   ASSERT_TRUE(pin.ok()) << pin.status().ToString();
 
-  std::vector<int> chunked = PlanQuery(q, ctx);  // Default hints = columnar.
-  EXPECT_EQ(chunked, pin->order)
+  EXPECT_EQ(PlanQuery(q, ctx), pin->order)
       << "fig13 recompute order drifted from the pinned plan";
-
-  // The legacy row estimate saturates: the pinned order is exactly what the
-  // chunked estimate buys, so the row-hint plan must differ.
-  PlanHints legacy;
-  legacy.chunk_rows = 0;
-  std::vector<int> row_plan = PlanQuery(q, ctx, legacy);
-  ASSERT_EQ(row_plan.size(), 3u);
-  EXPECT_NE(row_plan, pin->order);  // The saturated tie breaks dense-first.
 }
 
 TEST(DeltaPlannerTest, CacheHintDefersWindowPatterns) {

@@ -9,9 +9,10 @@
 // a (config, trace) pair: greedy minimization shrinks the trace while it
 // still fails, and replays are byte-identical.
 //
-// Two planted mutations (src/common/test_hooks.h) prove the harness has
-// teeth: an off-by-one window boundary and a stale Stable_SN read must both
-// be detected within a handful of seeds.
+// Planted mutations (src/common/test_hooks.h) prove the harness has teeth: an
+// off-by-one window boundary and a stale Stable_SN read must both be detected
+// within a handful of seeds, and so must the two columnar defects
+// (uncompacted selection vector, recycled arena) on the in-place lane.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -72,18 +73,19 @@ struct RunConfig {
   // with real dual-apply, node adds, drains, target crashes with rollback)
   // from the advance path while the differential contract keeps holding.
   bool migrate = false;
-  // Columnar lane (§5.13): replay the same trace against a second cluster
-  // running the legacy row pipeline and require every projected result to be
-  // byte-identical — same rows, same order, same values — to the columnar
-  // primary. Not combined with `migrate` (the twin carries no shard-map).
-  bool row_twin = false;
+  // In-place lane (§5.13): pin in-place execution. The generated continuous
+  // queries are mostly non-selective, and non-selective triggers take
+  // fork-join, which bypasses the delta path entirely; pinning in-place
+  // routes them through delta execution, where cached columnar contributions
+  // (and the stale_arena_reuse defect class) live.
+  bool in_place = false;
   // Adaptive lane (§5.14): the primary runs with cost-based re-planning
   // enabled while a statically-planned twin replays the same events. Plans
   // may differ after a parity-gated cutover — row enumeration order with
   // them — so the twin contract is bag equality, not byte identity. The
   // trace carries a deterministic mid-run rate step (MakeAdaptiveTrace) so
   // drift genuinely fires. Composable with `migrate` (the twin is
-  // ownership-agnostic and never migrates) but not with `row_twin`.
+  // ownership-agnostic and never migrates).
   bool adaptive = false;
   // Adaptive lane: accumulates the primary's replan counters across seeds so
   // the test can prove the machinery was exercised, not just survived.
@@ -306,12 +308,7 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
   config.nodes = cfg.nodes;
   config.batch_interval_ms = kInterval;
   config.batches_per_sn = cfg.batches_per_sn;
-  // The twin lane pins in-place execution on both clusters: the generated
-  // continuous queries are mostly non-selective, and non-selective triggers
-  // take fork-join — which bypasses the delta path entirely. Columnar-vs-row
-  // contribution caching is exactly where the stale_arena_reuse defect class
-  // lives, so the lane forces the route the delta gate requires.
-  config.force_in_place = cfg.row_twin;
+  config.force_in_place = cfg.in_place;
   if (cfg.adaptive) {
     // Same knobs the planner lane uses: check every trigger, judge rates over
     // a window short enough that the trace's mid-run step is visible before
@@ -375,27 +372,20 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
   oracle.LoadBase(base);
   SnapshotChecker checker(cfg.batches_per_sn);
 
-  // Columnar-vs-row twin (§5.13): a second cluster, identical except for the
-  // executor pipeline, replays the same events. Both clusters intern the same
-  // names in the same order (streams, base, then trace order), so vertex ids
-  // line up and results can be compared byte-for-byte: the columnar executor
-  // promises the exact row enumeration order of the row pipeline, not just
-  // the same bag.
+  // Adaptive twin (§5.14): a second cluster, identical except that
+  // re-planning stays off — it keeps each registration's first plan for the
+  // whole trace, the oracle for "cutovers must not change what is delivered".
+  // Both clusters intern the same names in the same order (streams, base,
+  // then trace order), so vertex ids line up across them.
   std::unique_ptr<ScheduleController> twin_sched;
   std::unique_ptr<Cluster> twin;
   std::vector<StreamId> twin_sids;
   std::vector<Cluster::ContinuousHandle> twin_handles;
-  if (cfg.row_twin || cfg.adaptive) {
+  if (cfg.adaptive) {
     ClusterConfig twin_config;
     twin_config.nodes = cfg.nodes;
     twin_config.batch_interval_ms = kInterval;
     twin_config.batches_per_sn = cfg.batches_per_sn;
-    // Adaptive lane (§5.14): the twin differs from the primary only in that
-    // re-planning stays off — it keeps each registration's first plan for the
-    // whole trace, the oracle for "cutovers must not change what is
-    // delivered".
-    twin_config.columnar_executor = !cfg.row_twin;
-    twin_config.force_in_place = cfg.row_twin;
     if (cfg.fuzz_schedule) {
       twin_sched = std::make_unique<ScheduleController>(cfg.seed);
       twin_config.schedule = twin_sched.get();
@@ -411,66 +401,41 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
     twin->LoadBase(MakeBase(cfg.seed, twin->strings(), vocab));
   }
 
-  auto same_bytes = [](const QueryResult& a, const QueryResult& b) {
-    if (a.rows.size() != b.rows.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < a.rows.size(); ++i) {
-      if (a.rows[i].size() != b.rows[i].size()) {
-        return false;
-      }
-      for (size_t j = 0; j < a.rows[i].size(); ++j) {
-        const ResultValue& x = a.rows[i][j];
-        const ResultValue& y = b.rows[i][j];
-        if (x.is_number != y.is_number ||
-            (x.is_number ? x.number != y.number : x.vid != y.vid)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-  // Row twin: both pipelines share the planner and raise identical errors at
-  // identical points, so even failures must agree — a status divergence is a
-  // defect and results must match byte for byte. Adaptive twin: the primary
-  // may serve a different (parity-gated) plan, so the contract weakens to bag
-  // equality, and a status split is legal only in the one plan-order-sensitive
-  // case the oracle comparison also tolerates: the early-exit empty-join
-  // rejection (kInvalidArgument) on one side against an *empty* result on the
-  // other. An empty join under one order is empty under every order, so a
-  // non-empty result opposite a rejection is a real divergence.
-  auto twin_check = [&](const StatusOr<QueryExecution>& col,
-                        const StatusOr<QueryExecution>& row,
+  // The primary may serve a different (parity-gated) plan than the twin, so
+  // the contract is bag equality, and a status split is legal only in the
+  // one plan-order-sensitive case the oracle comparison also tolerates: the
+  // early-exit empty-join rejection (kInvalidArgument) on one side against an
+  // *empty* result on the other. An empty join under one order is empty
+  // under every order, so a non-empty result opposite a rejection is a real
+  // divergence.
+  auto twin_check = [&](const StatusOr<QueryExecution>& primary,
+                        const StatusOr<QueryExecution>& other,
                         const std::string& what) -> Status {
-    if (col.ok() != row.ok()) {
-      if (cfg.adaptive) {
-        const StatusOr<QueryExecution>& bad = col.ok() ? row : col;
-        const StatusOr<QueryExecution>& good = col.ok() ? col : row;
-        if (bad.status().code() == StatusCode::kInvalidArgument &&
-            good->result.rows.empty()) {
-          return Status::Ok();
-        }
+    if (primary.ok() != other.ok()) {
+      const StatusOr<QueryExecution>& bad = primary.ok() ? other : primary;
+      const StatusOr<QueryExecution>& good = primary.ok() ? primary : other;
+      if (bad.status().code() == StatusCode::kInvalidArgument &&
+          good->result.rows.empty()) {
+        return Status::Ok();
       }
       return Status::Internal(
           what + ": twin status divergence: primary " +
-          (col.ok() ? "ok" : col.status().ToString()) + " vs twin " +
-          (row.ok() ? "ok" : row.status().ToString()));
+          (primary.ok() ? "ok" : primary.status().ToString()) + " vs twin " +
+          (other.ok() ? "ok" : other.status().ToString()));
     }
-    if (!col.ok()) {
-      if (col.status().code() != row.status().code()) {
+    if (!primary.ok()) {
+      if (primary.status().code() != other.status().code()) {
         return Status::Internal(what + ": twin failure codes differ: " +
-                                col.status().ToString() + " vs " +
-                                row.status().ToString());
+                                primary.status().ToString() + " vs " +
+                                other.status().ToString());
       }
       return Status::Ok();
     }
-    if (cfg.adaptive
-            ? CanonicalBag(col->result) != CanonicalBag(row->result)
-            : !same_bytes(col->result, row->result)) {
+    if (CanonicalBag(primary->result) != CanonicalBag(other->result)) {
       return Status::Internal(
           what + ": twin result divergence: primary " +
-          std::to_string(col->result.rows.size()) + " rows vs twin " +
-          std::to_string(row->result.rows.size()));
+          std::to_string(primary->result.rows.size()) + " rows vs twin " +
+          std::to_string(other->result.rows.size()));
     }
     return Status::Ok();
   };
@@ -1062,8 +1027,16 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
   return Status::Ok();
 }
 
-Status RunSeed(uint64_t seed) {
-  return RunTrace(ConfigForSeed(seed), MakeTrace(seed));
+Status RunSeed(uint64_t seed, bool in_place = false) {
+  RunConfig cfg = ConfigForSeed(seed);
+  cfg.in_place = in_place;
+  return RunTrace(cfg, MakeTrace(seed));
+}
+
+// Seeds per long lane: 200, or WUKONGS_DIFF_SEEDS (2000 nightly).
+uint64_t LaneSeeds() {
+  const char* env = std::getenv("WUKONGS_DIFF_SEEDS");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : 200;
 }
 
 // Greedy ddmin-style minimization: repeatedly drop any single event whose
@@ -1088,10 +1061,7 @@ std::vector<Event> MinimizeTrace(const RunConfig& cfg, std::vector<Event> trace)
 // --- The main differential lane. ---
 
 TEST(DifferentialTest, SeedsMatchOracle) {
-  uint64_t seeds = 200;
-  if (const char* env = std::getenv("WUKONGS_DIFF_SEEDS")) {
-    seeds = std::strtoull(env, nullptr, 10);
-  }
+  const uint64_t seeds = LaneSeeds();
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     Status st = RunSeed(seed);
     ASSERT_TRUE(st.ok()) << "seed " << seed << ": " << st.ToString()
@@ -1107,10 +1077,7 @@ TEST(DifferentialTest, SeedsMatchOracle) {
 // rollback) while the trace runs, and WindowDedup proves the epoch cutover
 // neither loses, duplicates, nor changes any window result.
 TEST(DifferentialTest, MigrationSeedsMatchOracle) {
-  uint64_t seeds = 200;
-  if (const char* env = std::getenv("WUKONGS_DIFF_SEEDS")) {
-    seeds = std::strtoull(env, nullptr, 10);
-  }
+  const uint64_t seeds = LaneSeeds();
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     RunConfig cfg = ConfigForSeed(seed);
     cfg.nodes = 3;  // Moves/drains need somewhere to go.
@@ -1121,23 +1088,15 @@ TEST(DifferentialTest, MigrationSeedsMatchOracle) {
   }
 }
 
-// --- The columnar lane (§5.13): row-pipeline twin under fuzzing. ---
+// --- The in-place lane (§5.13): delta execution under fuzzing. ---
 //
-// Same traces, same seeds, two executors. The contract is strictly stronger
-// than the oracle comparison: projected results must be byte-identical (rows
-// in the same order with the same values), because the columnar executor
-// guarantees the row pipeline's enumeration order — chunk by chunk, row by
-// row, neighbors in adjacency order — so the fork-join serialization format
-// and DeltaCache contribution keys stay unchanged.
-TEST(ColumnarDifferentialTest, RowTwinMatchesColumnarAcrossSeeds) {
-  uint64_t seeds = 200;
-  if (const char* env = std::getenv("WUKONGS_DIFF_SEEDS")) {
-    seeds = std::strtoull(env, nullptr, 10);
-  }
+// Same contract as SeedsMatchOracle with in-place execution pinned, so
+// non-selective continuous queries take the delta path (cached columnar
+// contributions adopted into per-trigger unions) instead of fork-join.
+TEST(DifferentialTest, InPlaceSeedsMatchOracle) {
+  const uint64_t seeds = LaneSeeds();
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    RunConfig cfg = ConfigForSeed(seed);
-    cfg.row_twin = true;
-    Status st = RunTrace(cfg, MakeTrace(seed));
+    Status st = RunSeed(seed, /*in_place=*/true);
     ASSERT_TRUE(st.ok()) << "seed " << seed << ": " << st.ToString()
                          << "\ntrace:\n" << SerializeTrace(MakeTrace(seed));
   }
@@ -1154,10 +1113,7 @@ TEST(ColumnarDifferentialTest, RowTwinMatchesColumnarAcrossSeeds) {
 // The aggregate counters prove the lane exercised the machinery rather than
 // idling past it.
 TEST(AdaptiveReplanDifferentialTest, SeedsMatchOracle) {
-  uint64_t seeds = 200;
-  if (const char* env = std::getenv("WUKONGS_DIFF_SEEDS")) {
-    seeds = std::strtoull(env, nullptr, 10);
-  }
+  const uint64_t seeds = LaneSeeds();
   Cluster::ReplanStats total;
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     RunConfig cfg = ConfigForSeed(seed);
@@ -1191,9 +1147,10 @@ TEST(DifferentialTest, TraceGenerationIsDeterministic) {
 
 // --- Planted mutations: the harness must catch both defect classes. ---
 
-uint64_t FirstFailingSeed(uint64_t max_seed) {
+// First seed (of the oracle lane, or the in-place lane) that fails, or 0.
+uint64_t FirstFailingSeed(uint64_t max_seed, bool in_place = false) {
   for (uint64_t seed = 1; seed <= max_seed; ++seed) {
-    if (!RunSeed(seed).ok()) {
+    if (!RunSeed(seed, in_place).ok()) {
       return seed;
     }
   }
@@ -1212,33 +1169,22 @@ TEST(DifferentialMutationTest, PlantedStaleSnReadIsCaught) {
       << "stale Stable_SN read survived 20 differential seeds";
 }
 
-// First seed the *columnar* lane (row twin armed) fails on, or 0.
-uint64_t FirstFailingTwinSeed(uint64_t max_seed) {
-  for (uint64_t seed = 1; seed <= max_seed; ++seed) {
-    RunConfig cfg = ConfigForSeed(seed);
-    cfg.row_twin = true;
-    if (!RunTrace(cfg, MakeTrace(seed)).ok()) {
-      return seed;
-    }
-  }
-  return 0;
-}
-
 // The two planted columnar defects (§5.13) must both be observable through
-// the twin lane: a selection vector that is computed but never stored leaves
-// FILTER-dropped rows active in the columnar result only, and an arena
-// recycled while the DeltaCache still references its chunks corrupts cached
-// contributions the row twin rebuilds correctly.
+// the in-place lane: a selection vector that is computed but never stored
+// leaves FILTER-dropped rows active, which the oracle comparison sees, and an
+// arena recycled while the DeltaCache still references its chunks corrupts
+// cached contributions, which the per-trigger delta/cold parity check and
+// the oracle both see.
 TEST(ColumnarDifferentialTest, PlantedSkipSelectionCompactIsCaught) {
   test_hooks::ScopedMutation plant(&test_hooks::skip_selection_compact);
-  EXPECT_NE(FirstFailingTwinSeed(20), 0u)
-      << "uncompacted selection vector survived 20 columnar twin seeds";
+  EXPECT_NE(FirstFailingSeed(20, /*in_place=*/true), 0u)
+      << "uncompacted selection vector survived 20 in-place seeds";
 }
 
 TEST(ColumnarDifferentialTest, PlantedStaleArenaReuseIsCaught) {
   test_hooks::ScopedMutation plant(&test_hooks::stale_arena_reuse);
-  EXPECT_NE(FirstFailingTwinSeed(20), 0u)
-      << "stale arena reuse survived 20 columnar twin seeds";
+  EXPECT_NE(FirstFailingSeed(20, /*in_place=*/true), 0u)
+      << "stale arena reuse survived 20 in-place seeds";
 }
 
 TEST(DifferentialMutationTest, FailingTraceMinimizesAndReplaysByteIdentically) {

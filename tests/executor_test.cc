@@ -181,6 +181,27 @@ TEST_F(ExecutorTest, NumericFilter) {
   EXPECT_EQ(VertexName(r.rows[0][0]), "sensor2");
 }
 
+TEST_F(ExecutorTest, DistinctKeysNumbersOnTheirBitPattern) {
+  // Negative values are keyed like any other, and values less than 1e-6
+  // apart stay distinct; -0.0 and 0.0 are one value.
+  Query q;
+  q.distinct = true;
+  QueryResult r;
+  for (double v : {-2.5, -2.5, 0.1234561, 0.1234562}) {
+    r.rows.push_back({ResultValue::Number(v)});
+  }
+  ASSERT_TRUE(FinalizeSolution(q, ctx_, &r).ok());
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[0][0].number, -2.5);
+  EXPECT_EQ(r.rows[1][0].number, 0.1234561);
+  EXPECT_EQ(r.rows[2][0].number, 0.1234562);
+
+  QueryResult zeros;
+  zeros.rows = {{ResultValue::Number(0.0)}, {ResultValue::Number(-0.0)}};
+  ASSERT_TRUE(FinalizeSolution(q, ctx_, &zeros).ok());
+  EXPECT_EQ(zeros.rows.size(), 1u);
+}
+
 TEST_F(ExecutorTest, PlannerStartsFromConstant) {
   auto q = ParseQuery("SELECT ?X ?Y WHERE { ?X fo ?Y . Logan po ?Z . ?Z ht ?W }",
                       &strings_);

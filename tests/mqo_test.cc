@@ -233,12 +233,11 @@ TEST(MqoPartitionTest, PartitionRowsByColumnGroupsRowIndices) {
 
 class MqoClusterTest : public ::testing::Test {
  protected:
-  void Init(uint32_t nodes, bool mqo_enabled = true, bool columnar = true) {
+  void Init(uint32_t nodes, bool mqo_enabled = true) {
     ClusterConfig config;
     config.nodes = nodes;
     config.batch_interval_ms = kIntervalMs;
     config.mqo.enabled = mqo_enabled;
-    config.columnar_executor = columnar;
     if constexpr (obs::kCompiledIn) {
       config.metrics = &registry_;
     }
@@ -358,43 +357,31 @@ TEST_F(MqoClusterTest, SharedEvalOncePerTriggerAndFanoutMatchesCold) {
   }
 }
 
-TEST_F(MqoClusterTest, ColumnarSharedEvalFanoutMatchesColdInBothModes) {
-  // §5.13 parity regression: the shared template probe now runs on columnar
+TEST_F(MqoClusterTest, ColumnarSharedEvalFanoutMatchesCold) {
+  // §5.13 parity regression: the shared template probe runs on columnar
   // chunks and the fan-out hash-partitions the probe result column-wise.
   // Every member's fanout-served bag must stay identical to its own cold
-  // recompute under both executor pipelines, and the two pipelines must
-  // deliver the same bags (the partition keys are column values, which the
-  // row-view adapter preserves exactly).
-  std::vector<std::vector<std::multiset<std::string>>> per_mode;
-  for (bool columnar : {true, false}) {
-    Init(2, /*mqo_enabled=*/true, columnar);
-    std::vector<Cluster::ContinuousHandle> members = {
-        Register(FollowerQuery("qa", "u0")), Register(FollowerQuery("qb", "u1")),
-        Register(FollowerQuery("qc", "u2"))};
-    FeedRound(100);
-    FeedRound(200);
-    FeedRound(300);
-    std::vector<std::multiset<std::string>> bags;
-    for (Cluster::ContinuousHandle h : members) {
-      ASSERT_TRUE(cluster_->WindowReady(h, 300));
-      auto exec = cluster_->ExecuteContinuousAt(h, 300);
-      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-      auto cold = cluster_->ExecuteContinuousColdAt(h, 300);
-      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-      EXPECT_EQ(Canon(exec->result), Canon(cold->result))
-          << "columnar=" << columnar << ": fan-out diverged from cold";
-      bags.push_back(Canon(exec->result));
-    }
-    // The shared probe actually ran once (members 2 and 3 were memo-served),
-    // so the parity above covered the fan-out path, not three solo runs.
-    EXPECT_EQ(cluster_->mqo_stats().shared_evals, 1u)
-        << "columnar=" << columnar;
-    EXPECT_EQ(cluster_->mqo_stats().fanout_served, 2u)
-        << "columnar=" << columnar;
-    per_mode.push_back(std::move(bags));
+  // recompute.
+  Init(2);
+  std::vector<Cluster::ContinuousHandle> members = {
+      Register(FollowerQuery("qa", "u0")), Register(FollowerQuery("qb", "u1")),
+      Register(FollowerQuery("qc", "u2"))};
+  FeedRound(100);
+  FeedRound(200);
+  FeedRound(300);
+  for (Cluster::ContinuousHandle h : members) {
+    ASSERT_TRUE(cluster_->WindowReady(h, 300));
+    auto exec = cluster_->ExecuteContinuousAt(h, 300);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    auto cold = cluster_->ExecuteContinuousColdAt(h, 300);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(Canon(exec->result), Canon(cold->result))
+        << "fan-out diverged from cold";
   }
-  EXPECT_EQ(per_mode[0], per_mode[1])
-      << "columnar and row MQO fan-out delivered different member bags";
+  // The shared probe actually ran once (members 2 and 3 were memo-served),
+  // so the parity above covered the fan-out path, not three solo runs.
+  EXPECT_EQ(cluster_->mqo_stats().shared_evals, 1u);
+  EXPECT_EQ(cluster_->mqo_stats().fanout_served, 2u);
 }
 
 TEST_F(MqoClusterTest, SingletonGroupRunsIndependently) {

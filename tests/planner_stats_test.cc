@@ -185,36 +185,28 @@ TriplePattern BoundExpansion(int graph) {
   return p;
 }
 
-TEST(PlannerStatsTest, ChunkAndRowEstimatesReconcile) {
-  // The per-window bound-expansion estimate and the chunk_rows estimate must
-  // never disagree silently: whatever the chunk size, the chunked estimate
-  // is capped at the row estimate (debug builds assert; release reconciles
-  // via min). The chunk_rows=0 path is the composite-baseline row estimate
-  // and must stay untouched by the reconcile.
+TEST(PlannerStatsTest, ChunkEstimateFollowsFormulaAndBounds) {
+  // The static bound-expansion estimate counts chunk cardinality:
+  // 1 + seeds / kColumnarChunkRows, capped at 16. It never drops below 1 and
+  // never falls as the seed population grows.
   const std::vector<bool> bound = {true, false};
+  double previous = 0.0;
   for (size_t seeds : {size_t{0}, size_t{1}, size_t{5}, size_t{100},
                        size_t{600}, size_t{10000}, size_t{1000000}}) {
     StubSource src(seeds);
     ExecContext ctx;
     ctx.sources = {&src};
-    const TriplePattern p = BoundExpansion(kGraphStored);
-
-    PlanHints row_hints;
-    row_hints.chunk_rows = 0;  // Composite-baseline row-estimate path.
-    const double row_est = EstimatePatternCost(p, bound, ctx, row_hints);
-    EXPECT_NEAR(row_est, std::min(16.0, 1.0 + static_cast<double>(seeds)),
+    const double est =
+        EstimatePatternCost(BoundExpansion(kGraphStored), bound, ctx);
+    EXPECT_NEAR(est,
+                std::min(16.0, 1.0 + static_cast<double>(seeds) /
+                                         static_cast<double>(kColumnarChunkRows)),
                 1e-12)
         << "seeds=" << seeds;
-
-    for (size_t chunk : {size_t{1}, size_t{64}, size_t{1024}, size_t{100000}}) {
-      PlanHints hints;
-      hints.chunk_rows = chunk;
-      const double chunked = EstimatePatternCost(p, bound, ctx, hints);
-      EXPECT_LE(chunked, row_est + 1e-9)
-          << "seeds=" << seeds << " chunk_rows=" << chunk
-          << ": chunked estimate exceeds the row estimate";
-      EXPECT_GE(chunked, 1.0) << "seeds=" << seeds << " chunk_rows=" << chunk;
-    }
+    EXPECT_GE(est, 1.0) << "seeds=" << seeds;
+    EXPECT_LE(est, 16.0) << "seeds=" << seeds;
+    EXPECT_GE(est, previous) << "seeds=" << seeds;
+    previous = est;
   }
 }
 
