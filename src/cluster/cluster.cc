@@ -2038,7 +2038,8 @@ StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
   const bool degraded = fabric_->AnyNodeNotServing();
   DegradeState degrade;
 
-  // Plan once, at the first triggered execution (stored-procedure style).
+  // Plan once, at the first triggered execution (stored-procedure style),
+  // and once more when a plan made on partly filled windows sees them full.
   // An attached delta cache biases toward stored-prefix-first plans so the
   // cached prefix and per-slice contributions stay reusable (§5.9).
   std::shared_ptr<const PlanState> plan = EnsurePlanned(reg, end_ms, home);
@@ -2120,7 +2121,15 @@ StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
 PlanHints Cluster::HintsFor(const Registration& reg,
                             const StreamStatsSnapshot* stats) const {
   PlanHints hints;
-  hints.delta_cache = reg.delta_cache != nullptr;
+  // The delta path serves in-place triggers only. A query with no constant
+  // in any pattern plans non-selective and runs fork-join, so the
+  // cache-friendly bias would only buy it a worse join order.
+  bool anchored = false;
+  for (const TriplePattern& p : reg.query.patterns) {
+    anchored = anchored || !p.subject.is_var() || !p.object.is_var();
+  }
+  hints.delta_cache = reg.delta_cache != nullptr && !config_.force_fork_join &&
+                      (anchored || config_.force_in_place);
   hints.stats = stats;
   if (stats != nullptr) {
     hints.window_scope.reserve(reg.stream_ids.size());
@@ -2152,21 +2161,31 @@ Cluster::MakeExpansionObserver(const Registration& reg) {
 
 std::shared_ptr<const Cluster::PlanState> Cluster::EnsurePlanned(
     Registration& reg, StreamTime end_ms, NodeId home) {
+  // Windows are clipped at stream time 0, so before end_ms reaches a
+  // window's range the planner would rank its patterns by a fraction of
+  // their steady-state cardinality (one 100 ms batch of a 1 s window): too
+  // small a sample to order two windows by.
+  bool windows_full = true;
+  for (const WindowSpec& w : reg.query.windows) {
+    windows_full = windows_full && end_ms >= w.range_ms;
+  }
+  std::shared_ptr<const PlanState> current;
   {
     std::lock_guard lock(*reg.plan_mu);
-    if (reg.plan != nullptr) {
-      return reg.plan;
-    }
+    current = reg.plan;
+  }
+  if (current != nullptr && (!current->provisional || !windows_full)) {
+    return current;
   }
   // Plan outside the lock (planning reads window cardinalities through the
-  // fabric); a concurrent first trigger may plan too, but both see the same
-  // sources and the re-check below installs exactly one winner.
+  // fabric); a concurrent trigger may plan too, but both see the same
+  // sources and the checks below install exactly one winner.
   auto plan_span = TraceSpan(tracer_, "query", "query/plan", home);
   std::vector<std::unique_ptr<NeighborSource>> plan_holders;
   auto plan_ctx = BuildContext(reg, end_ms, ChargePolicy::kNoCharge, home,
                                &plan_holders, nullptr);
   if (!plan_ctx.ok()) {
-    return nullptr;
+    return current;
   }
   auto state = std::make_shared<PlanState>();
   if (config_.replan.enabled) {
@@ -2176,22 +2195,48 @@ std::shared_ptr<const Cluster::PlanState> Cluster::EnsurePlanned(
       HintsFor(reg, config_.replan.enabled ? &state->stats : nullptr);
   state->order = PlanQuery(reg.query, *plan_ctx, hints);
   state->selective = IsSelective(reg.query, state->order);
+  state->provisional = !windows_full;
+  if (current == nullptr) {
+    std::lock_guard lock(*reg.plan_mu);
+    if (reg.plan == nullptr) {
+      reg.plan = std::move(state);
+    }
+    return reg.plan;
+  }
+  // The provisional plan's windows have filled. A new order is the next
+  // version and goes through the same parity gate and re-keying as an
+  // adaptive cutover. The same order, or one the gate turned down, stays as
+  // it is, with its version and whatever the delta cache and MQO memos hold.
+  // Either way the plan is final now.
+  if (state->order != current->order) {
+    state->version = current->version + 1;
+    if (GatedCutover(reg, current, state, end_ms, home) ==
+        GateResult::kInstalled) {
+      return state;
+    }
+  }
+  auto kept = std::make_shared<PlanState>(*current);
+  kept->provisional = false;
   std::lock_guard lock(*reg.plan_mu);
-  if (reg.plan == nullptr) {
-    reg.plan = std::move(state);
+  if (reg.plan == current) {
+    reg.plan = std::move(kept);
   }
   return reg.plan;
 }
 
-void Cluster::InstallPlan(Registration& reg,
-                          std::shared_ptr<const PlanState> next, bool rekey) {
+bool Cluster::InstallPlan(Registration& reg,
+                          std::shared_ptr<const PlanState> next, bool rekey,
+                          const PlanState* expected) {
   const uint64_t version = next->version;
   {
     std::lock_guard lock(*reg.plan_mu);
+    if (expected != nullptr && reg.plan.get() != expected) {
+      return false;
+    }
     reg.plan = std::move(next);
   }
   if (!rekey) {
-    return;
+    return true;
   }
   // Coherence: delta-cache prefixes/contributions and MQO memos were built
   // under the old plan's pattern order; both must be retired before the new
@@ -2204,6 +2249,7 @@ void Cluster::InstallPlan(Registration& reg,
     Bump(obs_.delta_invalidations, after.invalidations - before.invalidations);
   }
   BumpMqoGeneration();
+  return true;
 }
 
 StatusOr<QueryResult> Cluster::ShadowExecute(Registration& reg,
@@ -2294,6 +2340,21 @@ void Cluster::MaybeReplan(Registration& reg, StreamTime end_ms, NodeId home) {
     return;
   }
 
+  if (GatedCutover(reg, current, next, end_ms, home) == GateResult::kDiverged) {
+    // Fall back safely: keep the proven plan but adopt the fresh baseline so
+    // the diverging candidate is not re-synthesized every cadence.
+    auto refreshed = std::make_shared<PlanState>(*current);
+    refreshed->stats = next->stats;
+    std::lock_guard lock(*reg.plan_mu);
+    if (reg.plan == current) {
+      reg.plan = std::move(refreshed);
+    }
+  }
+}
+
+Cluster::GateResult Cluster::GatedCutover(
+    Registration& reg, const std::shared_ptr<const PlanState>& current,
+    std::shared_ptr<const PlanState> next, StreamTime end_ms, NodeId home) {
   // Shadow parity gate: both plans run cold over the same window and must be
   // bag-equal before the candidate may serve real triggers. Both failing
   // with the same status code also counts — the observable behavior is
@@ -2301,23 +2362,24 @@ void Cluster::MaybeReplan(Registration& reg, StreamTime end_ms, NodeId home) {
   // replay deterministically.
   const uint64_t budget = config_.replan.shadow_budget_rows;
   uint64_t shadow_rows = 0;
-  auto old_result = ShadowExecute(reg, end_ms, home, current->order, &shadow_rows);
-  if (budget > 0 && shadow_rows > budget) {
+  auto over_budget = [&] {
+    if (budget == 0 || shadow_rows <= budget) {
+      return false;
+    }
     {
       std::lock_guard lock(replan_mu_);
       ++replan_stats_.budget_overruns;
     }
     Bump(obs_.replan_budget_overruns);
-    return;  // Keep the proven plan; retry at the next cadence if drift holds.
+    return true;
+  };
+  auto old_result = ShadowExecute(reg, end_ms, home, current->order, &shadow_rows);
+  if (over_budget()) {
+    return GateResult::kKept;  // Keep the proven plan for now.
   }
   auto new_result = ShadowExecute(reg, end_ms, home, next->order, &shadow_rows);
-  if (budget > 0 && shadow_rows > budget) {
-    {
-      std::lock_guard lock(replan_mu_);
-      ++replan_stats_.budget_overruns;
-    }
-    Bump(obs_.replan_budget_overruns);
-    return;
+  if (over_budget()) {
+    return GateResult::kKept;
   }
   bool parity = false;
   if (old_result.ok() && new_result.ok()) {
@@ -2332,22 +2394,17 @@ void Cluster::MaybeReplan(Registration& reg, StreamTime end_ms, NodeId home) {
       ++replan_stats_.parity_failures;
     }
     Bump(obs_.replan_parity_failures);
-    // Fall back safely: keep the proven plan but adopt the fresh baseline so
-    // the diverging candidate is not re-synthesized every cadence.
-    auto refreshed = std::make_shared<PlanState>(*current);
-    refreshed->stats = next->stats;
-    std::lock_guard lock(*reg.plan_mu);
-    if (reg.plan == current) {
-      reg.plan = std::move(refreshed);
-    }
-    return;
+    return GateResult::kDiverged;
   }
-  InstallPlan(reg, std::move(next), /*rekey=*/true);
+  if (!InstallPlan(reg, std::move(next), /*rekey=*/true, current.get())) {
+    return GateResult::kKept;
+  }
   {
     std::lock_guard lock(replan_mu_);
     ++replan_stats_.cutovers;
   }
   Bump(obs_.replan_cutovers);
+  return GateResult::kInstalled;
 }
 
 Status Cluster::PinContinuousPlan(ContinuousHandle h, const PlanPin& pin) {
@@ -3333,6 +3390,12 @@ void Cluster::UpdateScrapedMetrics() {
       ->Set(static_cast<double>(mem.stream_index_bytes));
   m->GetGauge("wukongs_memory_transient_bytes")
       ->Set(static_cast<double>(mem.transient_bytes));
+  // Snapshot-maintenance work: keys the collapse passes visited (§5.1).
+  uint64_t collapse_keys = 0;
+  for (const auto& store : stores_) {
+    collapse_keys += store->CollapseKeysVisited();
+  }
+  m->GetCounter("wukongs_store_collapse_keys_total")->Set(collapse_keys);
   FabricStats fs = fabric_->stats();
   m->GetCounter("wukongs_fabric_one_sided_reads_total")->Set(fs.one_sided_reads);
   m->GetCounter("wukongs_fabric_one_sided_read_bytes_total")

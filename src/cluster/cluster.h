@@ -567,6 +567,10 @@ class Cluster {
     bool selective = true;
     uint64_t version = 1;
     bool pinned = false;  // Installed via PinContinuousPlan; replan skips it.
+    // Planned while a window still reached back before stream time 0, from
+    // a fraction of its steady-state contents; planned once more at the
+    // first trigger whose windows are all full.
+    bool provisional = false;
     // Live-statistics snapshot the plan was derived from: the drift
     // detector's "then" side.
     StreamStatsSnapshot stats;
@@ -578,9 +582,10 @@ class Cluster {
     std::vector<StreamId> stream_ids;  // Parallel to query.windows.
     // Registered queries are "stored procedures" (paper Fig. 5): the plan is
     // computed on the first triggered execution (when window statistics
-    // exist) and reused thereafter. With config_.replan.enabled the plan can
-    // later be replaced by a parity-gated adaptive cutover or a manual pin;
-    // plan_mu guards the pointer swap and the trigger cadence counter.
+    // exist), recomputed once if those windows were not yet full, and reused
+    // thereafter. With config_.replan.enabled the plan can later be replaced
+    // by a parity-gated adaptive cutover or a manual pin; plan_mu guards the
+    // pointer swap and the trigger cadence counter.
     std::unique_ptr<std::mutex> plan_mu = std::make_unique<std::mutex>();
     std::shared_ptr<const PlanState> plan;  // Null until first planned.
     uint64_t triggers_since_check = 0;      // Guarded by plan_mu.
@@ -740,7 +745,10 @@ class Cluster {
                                          DegradeState* degrade, bool* used);
   // --- Adaptive re-planning (§5.14). ---
   // Returns the registration's current plan, computing and installing it on
-  // first use (the plan-once lifecycle). Null only when planning failed.
+  // first use (the plan-once lifecycle). A plan made before the windows
+  // filled is provisional: the first trigger with full windows plans again
+  // and, if the order changed, installs it as the next version. Null only
+  // when planning failed.
   std::shared_ptr<const PlanState> EnsurePlanned(Registration& reg,
                                                  StreamTime end_ms, NodeId home);
   // Trigger-cadence drift check + parity-gated cutover. No-op unless
@@ -748,9 +756,22 @@ class Cluster {
   void MaybeReplan(Registration& reg, StreamTime end_ms, NodeId home);
   // Installs `next` as reg's plan. `rekey` re-keys the delta cache to the
   // new version and invalidates MQO memos — the coherence step a correct
-  // cutover must never skip.
-  void InstallPlan(Registration& reg, std::shared_ptr<const PlanState> next,
-                   bool rekey);
+  // cutover must never skip. With `expected` set, installs only if reg's
+  // plan is still `expected`; returns whether `next` was installed.
+  bool InstallPlan(Registration& reg, std::shared_ptr<const PlanState> next,
+                   bool rekey, const PlanState* expected = nullptr);
+  // Parity-gated replacement of reg's `current` plan by `next` (§5.14):
+  // both orders run cold over the window at end_ms, and `next` is installed
+  // with re-keying only if the two results are bag-equal (and the shadow
+  // rows stay within config_.replan.shadow_budget_rows) and `current` is
+  // still installed. Counts overruns, parity failures and cutovers in
+  // replan_stats().
+  // kKept: over budget, or `current` was replaced meanwhile.
+  enum class GateResult { kInstalled, kDiverged, kKept };
+  GateResult GatedCutover(Registration& reg,
+                          const std::shared_ptr<const PlanState>& current,
+                          std::shared_ptr<const PlanState> next,
+                          StreamTime end_ms, NodeId home);
   // Shadow execution of `order` over reg's window at end_ms for the parity
   // gate: no cost charging, no counters, no stats observation. Accumulates
   // intermediate row production into *rows for the shadow budget.

@@ -111,6 +111,10 @@ AppendSpan GStore::AppendEdgeImpl(Key key, VertexId value, SnapshotNum sn,
       v.markers.back().end = end;
     } else {
       v.markers.push_back(SnapMarker{sn, end});
+      if (!v.marked) {
+        v.marked = true;
+        stripe.marked.push_back(key);
+      }
     }
   }
   if (migrated) {
@@ -195,20 +199,42 @@ void GStore::CollapseBelow(SnapshotNum floor) {
   while (prev < floor && !collapse_floor_.compare_exchange_weak(
                              prev, floor, std::memory_order_relaxed)) {
   }
-  // Fold eagerly so reclaimed marker metadata and the new base prefix are
-  // visible immediately; AppendEdge also folds lazily for keys touched later.
+  // Fold now so reclaimed marker metadata is visible immediately. Only the
+  // listed keys can hold markers; keep those that still hold one above the
+  // floor. PurgeShard unlists the keys it erases; a listed key missing from
+  // the map is skipped all the same.
+  uint64_t visited = 0;
   for (Stripe& stripe : stripes_) {
     std::unique_lock lock(stripe.mu);
-    for (auto& [key, value] : stripe.map) {
-      value.Collapse(floor);
+    visited += stripe.marked.size();
+    size_t keep = 0;
+    for (Key key : stripe.marked) {
+      auto it = stripe.map.find(key);
+      if (it == stripe.map.end()) {
+        continue;
+      }
+      EdgeValue& v = it->second;
+      v.Collapse(floor);
+      if (v.markers.empty()) {
+        v.marked = false;
+      } else {
+        stripe.marked[keep++] = key;
+      }
     }
+    stripe.marked.resize(keep);
   }
+  collapse_keys_visited_.fetch_add(visited, std::memory_order_relaxed);
 }
 
 size_t GStore::PurgeShard(const std::function<bool(VertexId)>& in_shard) {
   size_t removed_edges = 0;
   for (Stripe& stripe : stripes_) {
     std::unique_lock lock(stripe.mu);
+    // Erased keys leave the marked-key list too, so a key re-created later
+    // is listed once, by its own first marker.
+    std::erase_if(stripe.marked, [&](Key key) {
+      return !key.is_index() && in_shard(key.vid());
+    });
     for (auto it = stripe.map.begin(); it != stripe.map.end();) {
       EdgeValue& v = it->second;
       if (!it->first.is_index()) {
@@ -266,6 +292,7 @@ size_t GStore::MemoryBytes() const {
   size_t bytes = 0;
   for (const Stripe& s : stripes_) {
     std::shared_lock lock(s.mu);
+    bytes += s.marked.capacity() * sizeof(Key);
     for (const auto& [key, value] : s.map) {
       bytes += sizeof(Key) + sizeof(EdgeValue) + 32;  // Map node overhead.
       bytes += value.edges.capacity() * sizeof(VertexId);

@@ -11,9 +11,11 @@
 // key keeps a short deque of (SN, end-offset) pairs recording where the data
 // of each scalar snapshot ends. A reader at Stable_SN = s sees the prefix up
 // to the last marker with sn <= s; the initial bulk load is the base prefix
-// visible at every SN. Markers below the published collapse floor fold into
-// the base lazily on next touch, so per-key snapshot metadata stays bounded
-// (the "one for using, one for inserting" property from the paper).
+// visible at every SN. When the Coordinator publishes a collapse floor,
+// CollapseBelow folds every marker at or below it into the base prefix, so
+// per-key snapshot metadata stays bounded (the "one for using, one for
+// inserting" property from the paper). Each stripe lists the keys that hold
+// markers, so a fold pass visits only those keys, never the whole shard.
 //
 // Concurrency: the map is striped into fixed partitions. The paper's Injector
 // threads statically partition the key space to avoid locks; readers (queries)
@@ -119,10 +121,17 @@ class GStore {
   size_t EdgeCount(Key key, SnapshotNum sn) const;
 
   // --- Snapshot maintenance (§4.3). ---
-  // Publishes a collapse floor: markers with sn <= floor fold into the base
-  // prefix lazily on next access. Called by the Coordinator once a snapshot
-  // can no longer be named by any query.
+  // Publishes a collapse floor and folds every marker with sn <= floor into
+  // the base prefix. Called by the Coordinator once a snapshot can no longer
+  // be named by any query. A key joins its stripe's marked-key list when it
+  // gains its first marker, so the pass visits only listed keys — O(keys
+  // that hold markers), not O(keys) — and drops each key once it holds none.
+  // AppendEdge also folds the keys it touches against the published floor.
   void CollapseBelow(SnapshotNum floor);
+  // Keys visited by CollapseBelow since construction (maintenance work).
+  uint64_t CollapseKeysVisited() const {
+    return collapse_keys_visited_.load(std::memory_order_relaxed);
+  }
 
   // --- Accounting. ---
   size_t KeyCount() const;
@@ -135,7 +144,8 @@ class GStore {
   size_t MigratedInEdges() const {
     return migrated_in_.load(std::memory_order_relaxed);
   }
-  // Approximate resident bytes of the shard (values + marker metadata).
+  // Approximate resident bytes of the shard (values, marker metadata and
+  // the marked-key lists).
   size_t MemoryBytes() const;
   // Bytes of snapshot-marker metadata alone; Table 7 compares this against
   // the hypothetical per-edge vector-timestamp representation.
@@ -150,17 +160,26 @@ class GStore {
   struct EdgeValue {
     std::vector<VertexId> edges;
     uint32_t base_end = 0;            // Visible at every snapshot.
+    // On its stripe's marked-key list. Sits in the padding after base_end,
+    // so the value stays 56 bytes.
+    bool marked = false;
     std::vector<SnapMarker> markers;  // Ascending sn; small and bounded.
 
     uint32_t VisibleEnd(SnapshotNum sn) const;
     void Collapse(SnapshotNum floor);
   };
+  static_assert(sizeof(EdgeValue) == 2 * sizeof(std::vector<VertexId>) + 8,
+                "the marked flag must fit in the padding after base_end");
 
   static constexpr size_t kStripeCount = 64;
 
   struct Stripe {
     mutable std::shared_mutex mu;
     std::unordered_map<Key, EdgeValue, KeyHash> map;
+    // Keys of `map` whose `marked` flag is set, each once: every key that
+    // holds a marker is here (a listed key may have lost its markers to the
+    // fold in AppendEdge since; the next CollapseBelow drops it).
+    std::vector<Key> marked;
   };
 
   Stripe& StripeFor(Key key) {
@@ -185,6 +204,7 @@ class GStore {
   std::atomic<uint64_t> edge_total_{0};
   std::atomic<uint64_t> stream_appended_edges_{0};
   std::atomic<uint64_t> migrated_in_{0};
+  std::atomic<uint64_t> collapse_keys_visited_{0};
 };
 
 }  // namespace wukongs

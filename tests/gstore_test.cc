@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/store/gstore.h"
 
@@ -148,18 +152,48 @@ TEST(GStoreTest, CollapseBoundsMarkerCount) {
   for (SnapshotNum sn = 1; sn <= 10; ++sn) {
     store.InjectEdge(k, 100 + sn, sn, nullptr);
   }
+  // Ten markers on k plus one on its index key.
   size_t meta_before = store.SnapshotMetadataBytes();
   store.CollapseBelow(9);
-  // Collapse is lazy: touch the key to fold markers.
-  EXPECT_EQ(store.GetEdges(k, kInf).size(), 10u);
+  // The pass itself folds markers at or below the floor, with no touch:
+  // only k's marker for snapshot 10 is left.
   size_t meta_after = store.SnapshotMetadataBytes();
   EXPECT_LT(meta_after, meta_before);
+  EXPECT_EQ(meta_after * 11, meta_before);
+  EXPECT_EQ(store.GetEdges(k, kInf).size(), 10u);
   // Reads at or above the floor still see everything folded into base.
   EXPECT_EQ(store.GetEdges(k, 9).size(), 9u);
   EXPECT_EQ(store.GetEdges(k, 10).size(), 10u);
   // Reads below the floor are forfeited (collapsed into base): by contract
   // the Coordinator never hands out SNs below the floor.
   EXPECT_EQ(store.GetEdges(k, 0).size(), 9u);
+}
+
+TEST(GStoreTest, CollapseVisitsOnlyMarkedKeys) {
+  GStore store(0);
+  for (VertexId v = 1; v <= 5000; ++v) {
+    store.LoadTriple({v, kPo, 100000 + v});
+  }
+  ASSERT_GE(store.KeyCount(), 10000u);
+  // Three new keys: one marker each, plus one on their shared index key.
+  const std::vector<Key> injected = {Key(200001, kPo, Dir::kOut),
+                                     Key(200002, kPo, Dir::kOut),
+                                     Key(200003, kPo, Dir::kOut)};
+  for (Key k : injected) {
+    store.InjectEdge(k, 7, 1, nullptr);
+  }
+  const uint64_t before = store.CollapseKeysVisited();
+  store.CollapseBelow(1);
+  const uint64_t visited = store.CollapseKeysVisited() - before;
+  EXPECT_GE(visited, injected.size());
+  EXPECT_LE(visited, 2 * injected.size());  // The keys plus their index keys.
+  EXPECT_EQ(store.SnapshotMetadataBytes(), 0u);
+  for (Key k : injected) {
+    EXPECT_EQ(store.GetEdges(k, 1), (std::vector<VertexId>{7}));
+  }
+  // Every folded key left the list: the next pass visits nothing.
+  store.CollapseBelow(2);
+  EXPECT_EQ(store.CollapseKeysVisited() - before, visited);
 }
 
 TEST(GStoreTest, CountersTrackLoadAndInjection) {
@@ -196,6 +230,87 @@ TEST(GStoreTest, ConcurrentReadersDuringInjection) {
   stop.store(true);
   reader.join();
   EXPECT_EQ(store.GetEdges(k, kInf).size(), 2000u);
+}
+
+// One thread injects on a rising snapshot while another collapses with a
+// floor that trails it and reads at or above that floor. Snapshot sn appends
+// to two of kKeys keys; `done` publishes the last snapshot fully appended,
+// and the injector waits for a collapse round every 8 snapshots so the two
+// threads interleave.
+TEST(GStoreTest, CollapseTrailingInjectionMatchesReplay) {
+  constexpr SnapshotNum kLastSn = 1500;
+  constexpr VertexId kKeys = 16;
+  auto appends_of = [](SnapshotNum sn) {
+    return std::array<std::pair<Key, VertexId>, 2>{
+        std::pair{Key(1 + sn % kKeys, kPo, Dir::kOut), 2 * sn},
+        std::pair{Key(1 + (7 * sn + 3) % kKeys, kPo, Dir::kOut), 2 * sn + 1}};
+  };
+  GStore store(0);
+  GStore replay(0);
+  std::vector<std::vector<std::pair<SnapshotNum, VertexId>>> log(kKeys + 1);
+  for (SnapshotNum sn = 1; sn <= kLastSn; ++sn) {
+    for (const auto& [key, value] : appends_of(sn)) {
+      replay.InjectEdge(key, value, sn, nullptr);
+      log[key.vid()].emplace_back(sn, value);
+    }
+  }
+
+  std::atomic<SnapshotNum> done{0};
+  std::atomic<uint64_t> mismatches{0};
+  std::atomic<uint64_t> rounds{0};
+  std::thread collapser([&] {
+    std::vector<VertexId> got;
+    std::vector<VertexId> want;
+    uint64_t step = 0;
+    while (done.load(std::memory_order_acquire) < kLastSn) {
+      const SnapshotNum d = done.load(std::memory_order_acquire);
+      if (d < 3) {
+        continue;
+      }
+      const SnapshotNum floor = d - 2;
+      store.CollapseBelow(floor);
+      const SnapshotNum sn = floor + step % 3;
+      const VertexId vid = 1 + step % kKeys;
+      ++step;
+      store.GetEdgesInto(Key(vid, kPo, Dir::kOut), sn, &got);
+      want.clear();
+      for (const auto& [esn, value] : log[vid]) {
+        if (esn <= sn) {
+          want.push_back(value);
+        }
+      }
+      if (got != want) {
+        mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+      rounds.fetch_add(1, std::memory_order_release);
+    }
+  });
+  for (SnapshotNum sn = 1; sn <= kLastSn; ++sn) {
+    if (sn % 8 == 0) {
+      const uint64_t seen = rounds.load(std::memory_order_acquire);
+      while (rounds.load(std::memory_order_acquire) == seen) {
+        std::this_thread::yield();
+      }
+    }
+    for (const auto& [key, value] : appends_of(sn)) {
+      store.InjectEdge(key, value, sn, nullptr);
+    }
+    done.store(sn, std::memory_order_release);
+  }
+  collapser.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+
+  std::vector<Key> keys = {Key(kIndexVertex, kPo, Dir::kOut)};
+  for (VertexId v = 1; v <= kKeys; ++v) {
+    keys.emplace_back(v, kPo, Dir::kOut);
+  }
+  for (Key k : keys) {
+    EXPECT_EQ(store.GetEdges(k, kInf), replay.GetEdges(k, kInf)) << k.DebugString();
+    EXPECT_EQ(store.GetEdges(k, kLastSn - 2), replay.GetEdges(k, kLastSn - 2))
+        << k.DebugString();
+  }
+  store.CollapseBelow(kLastSn);
+  EXPECT_EQ(store.SnapshotMetadataBytes(), 0u);
 }
 
 }  // namespace

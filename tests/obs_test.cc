@@ -166,7 +166,8 @@ TEST(ObsDeterminismTest, SameWorkloadYieldsByteIdenticalTraceAndMetrics) {
   for (const char* metric :
        {"wukongs_batches_injected_total", "wukongs_tuples_injected_total",
         "wukongs_queries_oneshot_total", "wukongs_queries_continuous_total",
-        "wukongs_stream_index_lookups_total", "wukongs_stable_sn"}) {
+        "wukongs_stream_index_lookups_total", "wukongs_stable_sn",
+        "wukongs_store_collapse_keys_total"}) {
     EXPECT_NE(first.metrics_dump.find(metric), std::string::npos)
         << "missing metric " << metric;
   }

@@ -643,6 +643,132 @@ TEST_F(PlannerStatsMutationTest, SkipParityGateIsCaughtByTheCutoverAudit) {
 }
 
 // ---------------------------------------------------------------------------
+// PlannerStatsFirstPlanTest: which window contents the first plan sees.
+// ---------------------------------------------------------------------------
+
+class PlannerStatsFirstPlanTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ClusterConfig config;
+    config.nodes = 1;
+    config.batch_interval_ms = kIntervalMs;
+    cluster_ = std::make_unique<Cluster>(config);
+  }
+
+  Triple T(const std::string& su, const char* p, const std::string& o) {
+    StringServer* s = cluster_->strings();
+    return Triple{s->InternVertex(su), s->InternPredicate(p), s->InternVertex(o)};
+  }
+
+  StreamTuple Timing(const std::string& su, const char* p, const std::string& o,
+                     StreamTime ts) {
+    return StreamTuple{T(su, p, o), ts, TupleKind::kTiming};
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+};
+
+// At the first trigger (end 100 ms) a 1 s window holds one 100 ms batch: S1
+// has one `a` subject and S2 three `b` subjects, so the plan seeds from S1.
+// Over the full window S1 has 91 `a` subjects and S2 still three, so the
+// plan made when the windows fill seeds from S2 — through the parity gate,
+// as version 2. Every trigger's rows match the cold pipeline.
+TEST_F(PlannerStatsFirstPlanTest, PlanFromPartlyFilledWindowsIsRedoneWhenTheyFill) {
+  auto s1 = cluster_->DefineStream("S1", {"a"});
+  auto s2 = cluster_->DefineStream("S2", {"b"});
+  ASSERT_TRUE(s1.ok() && s2.ok());
+  const std::vector<Triple> base = {T("Base", "c", "Base")};
+  cluster_->LoadBase(base);
+  auto h = cluster_->RegisterContinuous(R"(
+      REGISTER QUERY F AS
+      SELECT ?x ?y ?z
+      FROM STREAM <S1> [RANGE 1s STEP 100ms]
+      FROM STREAM <S2> [RANGE 1s STEP 100ms]
+      WHERE {
+        GRAPH <S1> { ?x a ?y }
+        GRAPH <S2> { ?y b ?z }
+      })");
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+
+  for (StreamTime t = 0; t < 1000; t += kIntervalMs) {
+    StreamTupleVec a, b;
+    if (t == 0) {
+      a.push_back(Timing("X0", "a", "Y0", 1));
+      for (int i = 0; i < 3; ++i) {
+        b.push_back(Timing("Y" + std::to_string(i), "b", "Z" + std::to_string(i),
+                           2 + static_cast<StreamTime>(i)));
+      }
+    } else {
+      for (int i = 0; i < 10; ++i) {
+        a.push_back(Timing("X" + std::to_string(t) + "_" + std::to_string(i), "a",
+                           "Y" + std::to_string(i % 3),
+                           t + 1 + static_cast<StreamTime>(i)));
+      }
+    }
+    ASSERT_TRUE(cluster_->FeedStream(*s1, a).ok());
+    ASSERT_TRUE(cluster_->FeedStream(*s2, b).ok());
+    const StreamTime end = t + kIntervalMs;
+    cluster_->AdvanceStreams(end);
+
+    auto exec = cluster_->ExecuteContinuousAt(*h, end);
+    auto cold = cluster_->ExecuteContinuousColdAt(*h, end);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(exec->result.rows.size(), 1 + 10 * (t / kIntervalMs)) << "end=" << end;
+    EXPECT_EQ(Canon(exec->result), Canon(cold->result)) << "end=" << end;
+    if (end < 1000) {
+      EXPECT_EQ(cluster_->ContinuousPlanOf(*h), (std::vector<int>{0, 1}))
+          << "end=" << end;
+      EXPECT_EQ(cluster_->PlanVersionOf(*h), 1u) << "end=" << end;
+    }
+  }
+  EXPECT_EQ(cluster_->ContinuousPlanOf(*h), (std::vector<int>{1, 0}));
+  EXPECT_EQ(cluster_->PlanVersionOf(*h), 2u);
+  EXPECT_EQ(cluster_->replan_stats().cutovers, 1u);
+}
+
+// A delta-cache-eligible query with no constant runs fork-join, where the
+// delta path never serves it, so its plan is ranked without the bias that
+// defers window patterns: 5 window `po` subjects seed the join, not the 100
+// stored `fo` subjects (the bias would multiply the window's cost by 64).
+TEST_F(PlannerStatsFirstPlanTest, UnanchoredQueryPlansWithoutTheDeltaBias) {
+  auto s = cluster_->DefineStream("S", {"po"});
+  ASSERT_TRUE(s.ok());
+  std::vector<Triple> base;
+  for (int i = 0; i < 100; ++i) {
+    base.push_back(T("F" + std::to_string(i), "fo", "U" + std::to_string(i % 5)));
+  }
+  cluster_->LoadBase(base);
+  auto h = cluster_->RegisterContinuous(R"(
+      REGISTER QUERY P AS
+      SELECT ?u ?p ?f
+      FROM STREAM <S> [RANGE 1s STEP 100ms]
+      FROM <Base>
+      WHERE {
+        GRAPH <S>    { ?u po ?p }
+        GRAPH <Base> { ?f fo ?u }
+      })");
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  ASSERT_TRUE(cluster_->HasDeltaCache(*h));
+
+  for (StreamTime t = 0; t < 1000; t += kIntervalMs) {
+    StreamTupleVec po;
+    if (t == 0) {
+      for (int i = 0; i < 5; ++i) {
+        po.push_back(Timing("U" + std::to_string(i), "po", "P" + std::to_string(i),
+                            1 + static_cast<StreamTime>(i)));
+      }
+    }
+    ASSERT_TRUE(cluster_->FeedStream(*s, po).ok());
+    cluster_->AdvanceStreams(t + kIntervalMs);
+  }
+  auto exec = cluster_->ExecuteContinuousAt(*h, 1000);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  EXPECT_EQ(exec->result.rows.size(), 100u);
+  EXPECT_EQ(cluster_->ContinuousPlanOf(*h), (std::vector<int>{0, 1}));
+}
+
+// ---------------------------------------------------------------------------
 // PlanPinTest: the manual plan-pin format and its golden corpus.
 // ---------------------------------------------------------------------------
 
