@@ -178,8 +178,7 @@ class BenchArtifact {
         ->Set(value);
   }
 
-  // Direct Add (not obs::Bump): the artifact must fill even in a
-  // -DWUKONGS_OBS=OFF build, where Bump compiles to a no-op.
+  // Adds `n` to a counter of the artifact's own registry.
   void AddCount(const std::string& metric, const MetricLabels& labels,
                 uint64_t n) {
     registry_.GetCounter(obs::MetricsRegistry::Labeled(metric, labels))

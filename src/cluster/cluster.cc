@@ -33,23 +33,19 @@ constexpr double kForkJoinSetupTcpNs = 40000.0;
 constexpr size_t kBindingBytes = sizeof(VertexId);
 constexpr size_t kTupleWireBytes = 24;
 
-// Observability span helper (counter bumps use obs::Bump, found by ADL):
-// compiled out entirely under -DWUKONGS_OBS_DISABLED, a single predictable
-// branch when the runtime switch (null tracer in ClusterConfig) is off.
+// Observability span helper: a single predictable branch when the runtime
+// switch (null tracer in ClusterConfig) is off.
 obs::Tracer::Span TraceSpan(obs::Tracer* tracer, const char* cat,
                             const char* name, uint32_t tid) {
-  if constexpr (obs::kCompiledIn) {
-    if (tracer != nullptr) {
-      return tracer->StartSpan(cat, name, tid);
-    }
-  } else {
-    (void)tracer;
-    (void)cat;
-    (void)name;
-    (void)tid;
+  if (tracer != nullptr) {
+    return tracer->StartSpan(cat, name, tid);
   }
   return {};
 }
+
+// Backoff counters accumulate whole nanoseconds (rounded per event), so the
+// FaultStats backoff view keeps sub-microsecond waits.
+uint64_t WholeNs(double ns) { return static_cast<uint64_t>(std::llround(ns)); }
 
 }  // namespace
 
@@ -83,102 +79,92 @@ Cluster::Cluster(const ClusterConfig& config, StringServer* shared_strings)
     straggler_ =
         std::make_unique<StragglerDetector>(config_.nodes, config_.straggler);
   }
+  tracer_ = config_.tracer;
+  if (config_.metrics == nullptr) {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+  }
+  metrics_ = config_.metrics != nullptr ? config_.metrics : owned_metrics_.get();
+  static constexpr std::pair<Ctr, const char*> kCounterNames[] = {
+      {Ctr::kDoorShedTuples, "wukongs_door_shed_tuples_total"},
+      {Ctr::kInjectorShedEdges, "wukongs_injector_shed_edges_total"},
+      {Ctr::kTimingEdgesLost, "wukongs_timing_edges_lost_total"},
+      {Ctr::kFeedRejections, "wukongs_feed_rejections_total"},
+      {Ctr::kCreditStalls, "wukongs_credit_stalls_total"},
+      {Ctr::kPlanStalls, "wukongs_plan_stalls_total"},
+      {Ctr::kAppendPressureEvents, "wukongs_append_pressure_events_total"},
+      {Ctr::kBacklogDeferred, "wukongs_backlog_deferred_total"},
+      {Ctr::kBacklogDrained, "wukongs_backlog_drained_total"},
+      {Ctr::kQuarantines, "wukongs_quarantines_total"},
+      {Ctr::kReactivations, "wukongs_reactivations_total"},
+      {Ctr::kHeartbeats, "wukongs_heartbeats_total"},
+      {Ctr::kBatchesInjected, "wukongs_batches_injected_total"},
+      {Ctr::kTuplesInjected, "wukongs_tuples_injected_total"},
+      {Ctr::kQueriesOneShot, "wukongs_queries_oneshot_total"},
+      {Ctr::kQueriesContinuous, "wukongs_queries_continuous_total"},
+      {Ctr::kFaultRetries, "wukongs_fault_retries_total"},
+      {Ctr::kFaultBackoffNs, "wukongs_fault_backoff_ns_total"},
+      {Ctr::kDeliveryAttempts, "wukongs_delivery_attempts_total"},
+      {Ctr::kDeliveryRetries, "wukongs_delivery_retries_total"},
+      {Ctr::kDeliveryExhausted, "wukongs_delivery_exhausted_total"},
+      {Ctr::kDeliveryBackoffNs, "wukongs_delivery_backoff_ns_total"},
+      {Ctr::kBatchesRedelivered, "wukongs_batches_redelivered_total"},
+      {Ctr::kBatchesDelayed, "wukongs_batches_delayed_total"},
+      {Ctr::kDuplicatesSuppressed, "wukongs_duplicates_suppressed_total"},
+      {Ctr::kCrashes, "wukongs_crashes_total"},
+      {Ctr::kReroutes, "wukongs_reroutes_total"},
+      {Ctr::kDegradedExecutions, "wukongs_degraded_executions_total"},
+      {Ctr::kDeltaHits, "wukongs_delta_cache_hits_total"},
+      {Ctr::kDeltaMisses, "wukongs_delta_cache_misses_total"},
+      {Ctr::kDeltaInvalidations, "wukongs_delta_cache_invalidations_total"},
+      {Ctr::kDeltaEpochFlushes, "wukongs_delta_cache_epoch_flushes_total"},
+      {Ctr::kDeltaBypasses, "wukongs_delta_cache_bypasses_total"},
+      {Ctr::kDeltaPlanFlushes, "wukongs_delta_cache_plan_flushes_total"},
+      {Ctr::kMovesStarted, "wukongs_reconfig_moves_started_total"},
+      {Ctr::kMovesCommitted, "wukongs_reconfig_moves_committed_total"},
+      {Ctr::kMovesAborted, "wukongs_reconfig_moves_aborted_total"},
+      {Ctr::kEdgesCopied, "wukongs_reconfig_edges_copied_total"},
+      {Ctr::kDualAppliedEdges, "wukongs_reconfig_dual_applied_edges_total"},
+      {Ctr::kBatchesReplayed, "wukongs_reconfig_batches_replayed_total"},
+      {Ctr::kNodesAdded, "wukongs_reconfig_nodes_added_total"},
+      {Ctr::kDrainsStarted, "wukongs_reconfig_drains_started_total"},
+      {Ctr::kRehomedRegistrations,
+       "wukongs_reconfig_rehomed_registrations_total"},
+      {Ctr::kStaleEdgesPurged, "wukongs_reconfig_stale_edges_purged_total"},
+      {Ctr::kHedgeIssued, "wukongs_hedge_issued_total"},
+      {Ctr::kHedgeWins, "wukongs_hedge_backup_wins_total"},
+      {Ctr::kHedgeCancelled, "wukongs_hedge_cancelled_total"},
+      {Ctr::kHedgeDuplicatesSuppressed,
+       "wukongs_hedge_duplicates_suppressed_total"},
+      {Ctr::kDeadlineExpired, "wukongs_deadline_expired_total"},
+      {Ctr::kDeadlineSkippedReads, "wukongs_deadline_skipped_reads_total"},
+      {Ctr::kDeadlineCancelledSteps, "wukongs_deadline_cancelled_steps_total"},
+      {Ctr::kStragglerDemotions, "wukongs_straggler_demotions_total"},
+      {Ctr::kStragglerPromotions, "wukongs_straggler_promotions_total"},
+      {Ctr::kMqoGroupedRegistrations, "wukongs_mqo_grouped_registrations_total"},
+      {Ctr::kMqoGroupsFormed, "wukongs_mqo_groups_formed_total"},
+      {Ctr::kMqoGroupsDissolved, "wukongs_mqo_groups_dissolved_total"},
+      {Ctr::kMqoSharedEvals, "wukongs_mqo_shared_evals_total"},
+      {Ctr::kMqoFanoutServed, "wukongs_mqo_fanout_served_total"},
+      {Ctr::kMqoFallbacks, "wukongs_mqo_independent_fallbacks_total"},
+      {Ctr::kReplanChecks, "wukongs_replan_checks_total"},
+      {Ctr::kReplanDriftTriggers, "wukongs_replan_drift_triggers_total"},
+      {Ctr::kReplanCutovers, "wukongs_replan_cutovers_total"},
+      {Ctr::kReplanParityFailures, "wukongs_replan_parity_failures_total"},
+      {Ctr::kReplanBudgetOverruns, "wukongs_replan_budget_overruns_total"},
+      {Ctr::kReplanPins, "wukongs_replan_pins_total"},
+  };
+  static_assert(std::size(kCounterNames) == static_cast<size_t>(Ctr::kCount),
+                "every Ctr needs exactly one registry name");
+  for (const auto& [c, name] : kCounterNames) {
+    counters_[static_cast<size_t>(c)] = metrics_->GetCounter(name);
+  }
+  assert(std::find(counters_.begin(), counters_.end(), nullptr) ==
+         counters_.end());
   service_hist_.resize(config_.nodes);
-  service_hist_metrics_.resize(config_.nodes, nullptr);
-  if constexpr (obs::kCompiledIn) {
-    tracer_ = config_.tracer;
-    if (obs::MetricsRegistry* m = config_.metrics; m != nullptr) {
-      obs_.door_shed_tuples = m->GetCounter("wukongs_door_shed_tuples_total");
-      obs_.injector_shed_edges =
-          m->GetCounter("wukongs_injector_shed_edges_total");
-      obs_.timing_edges_lost = m->GetCounter("wukongs_timing_edges_lost_total");
-      obs_.feed_rejections = m->GetCounter("wukongs_feed_rejections_total");
-      obs_.credit_stalls = m->GetCounter("wukongs_credit_stalls_total");
-      obs_.plan_stalls = m->GetCounter("wukongs_plan_stalls_total");
-      obs_.append_pressure_events =
-          m->GetCounter("wukongs_append_pressure_events_total");
-      obs_.backlog_deferred = m->GetCounter("wukongs_backlog_deferred_total");
-      obs_.backlog_drained = m->GetCounter("wukongs_backlog_drained_total");
-      obs_.quarantines = m->GetCounter("wukongs_quarantines_total");
-      obs_.reactivations = m->GetCounter("wukongs_reactivations_total");
-      obs_.heartbeats = m->GetCounter("wukongs_heartbeats_total");
-      obs_.batches_injected = m->GetCounter("wukongs_batches_injected_total");
-      obs_.tuples_injected = m->GetCounter("wukongs_tuples_injected_total");
-      obs_.queries_oneshot = m->GetCounter("wukongs_queries_oneshot_total");
-      obs_.queries_continuous =
-          m->GetCounter("wukongs_queries_continuous_total");
-      obs_.fault_retries = m->GetCounter("wukongs_fault_retries_total");
-      obs_.backoff_us = m->GetCounter("wukongs_fault_backoff_us_total");
-      obs_.batches_redelivered =
-          m->GetCounter("wukongs_batches_redelivered_total");
-      obs_.duplicates_suppressed =
-          m->GetCounter("wukongs_duplicates_suppressed_total");
-      obs_.crashes = m->GetCounter("wukongs_crashes_total");
-      obs_.reroutes = m->GetCounter("wukongs_reroutes_total");
-      obs_.delta_hits = m->GetCounter("wukongs_delta_cache_hits_total");
-      obs_.delta_misses = m->GetCounter("wukongs_delta_cache_misses_total");
-      obs_.delta_invalidations =
-          m->GetCounter("wukongs_delta_cache_invalidations_total");
-      obs_.delta_epoch_flushes =
-          m->GetCounter("wukongs_delta_cache_epoch_flushes_total");
-      obs_.delta_bypasses = m->GetCounter("wukongs_delta_cache_bypasses_total");
-      obs_.degraded_executions =
-          m->GetCounter("wukongs_degraded_executions_total");
-      obs_.reconfig_moves_started =
-          m->GetCounter("wukongs_reconfig_moves_started_total");
-      obs_.reconfig_moves_committed =
-          m->GetCounter("wukongs_reconfig_moves_committed_total");
-      obs_.reconfig_moves_aborted =
-          m->GetCounter("wukongs_reconfig_moves_aborted_total");
-      obs_.reconfig_edges_copied =
-          m->GetCounter("wukongs_reconfig_edges_copied_total");
-      obs_.reconfig_dual_applied_edges =
-          m->GetCounter("wukongs_reconfig_dual_applied_edges_total");
-      obs_.reconfig_rehomed_registrations =
-          m->GetCounter("wukongs_reconfig_rehomed_registrations_total");
-      obs_.reconfig_stale_edges_purged =
-          m->GetCounter("wukongs_reconfig_stale_edges_purged_total");
-      obs_.hedge_issued = m->GetCounter("wukongs_hedge_issued_total");
-      obs_.hedge_wins = m->GetCounter("wukongs_hedge_backup_wins_total");
-      obs_.hedge_cancelled = m->GetCounter("wukongs_hedge_cancelled_total");
-      obs_.hedge_duplicates_suppressed =
-          m->GetCounter("wukongs_hedge_duplicates_suppressed_total");
-      obs_.deadline_expired = m->GetCounter("wukongs_deadline_expired_total");
-      obs_.deadline_skipped_reads =
-          m->GetCounter("wukongs_deadline_skipped_reads_total");
-      obs_.deadline_cancelled_steps =
-          m->GetCounter("wukongs_deadline_cancelled_steps_total");
-      obs_.straggler_demotions =
-          m->GetCounter("wukongs_straggler_demotions_total");
-      obs_.straggler_promotions =
-          m->GetCounter("wukongs_straggler_promotions_total");
-      obs_.mqo_grouped_registrations =
-          m->GetCounter("wukongs_mqo_grouped_registrations_total");
-      obs_.mqo_groups_formed = m->GetCounter("wukongs_mqo_groups_formed_total");
-      obs_.mqo_groups_dissolved =
-          m->GetCounter("wukongs_mqo_groups_dissolved_total");
-      obs_.mqo_shared_evals = m->GetCounter("wukongs_mqo_shared_evals_total");
-      obs_.mqo_fanout_served = m->GetCounter("wukongs_mqo_fanout_served_total");
-      obs_.mqo_fallbacks =
-          m->GetCounter("wukongs_mqo_independent_fallbacks_total");
-      obs_.replan_checks = m->GetCounter("wukongs_replan_checks_total");
-      obs_.replan_drift_triggers =
-          m->GetCounter("wukongs_replan_drift_triggers_total");
-      obs_.replan_cutovers = m->GetCounter("wukongs_replan_cutovers_total");
-      obs_.replan_parity_failures =
-          m->GetCounter("wukongs_replan_parity_failures_total");
-      obs_.replan_budget_overruns =
-          m->GetCounter("wukongs_replan_budget_overruns_total");
-      obs_.replan_pins = m->GetCounter("wukongs_replan_pins_total");
-      obs_.delta_plan_flushes =
-          m->GetCounter("wukongs_delta_cache_plan_flushes_total");
-      for (NodeId n = 0; n < config_.nodes; ++n) {
-        service_hist_metrics_[n] =
-            m->GetHistogram(obs::MetricsRegistry::Labeled(
-                "wukongs_node_service_latency_ns",
-                {{"node", std::to_string(n)}}));
-      }
-    }
+  for (NodeId n = 0; n < config_.nodes; ++n) {
+    service_hist_metrics_.push_back(metrics_->GetHistogram(
+        obs::MetricsRegistry::Labeled("wukongs_node_service_latency_ns",
+                                      {{"node", std::to_string(n)}})));
   }
 }
 
@@ -201,14 +187,10 @@ StatusOr<StreamId> Cluster::DefineStream(
                                                   std::move(timing));
   state.ingest_node = static_cast<NodeId>(id % config_.nodes);
   state.shed_priority = shed_priority;
-  if constexpr (obs::kCompiledIn) {
-    if (obs::MetricsRegistry* m = config_.metrics; m != nullptr) {
-      state.obs_batches = m->GetCounter(obs::MetricsRegistry::Labeled(
-          "wukongs_stream_batches_injected_total", {{"stream", name}}));
-      state.obs_tuples = m->GetCounter(obs::MetricsRegistry::Labeled(
-          "wukongs_stream_tuples_injected_total", {{"stream", name}}));
-    }
-  }
+  state.obs_batches = metrics_->GetCounter(obs::MetricsRegistry::Labeled(
+      "wukongs_stream_batches_injected_total", {{"stream", name}}));
+  state.obs_tuples = metrics_->GetCounter(obs::MetricsRegistry::Labeled(
+      "wukongs_stream_tuples_injected_total", {{"stream", name}}));
   streams_.push_back(std::move(state));
   stream_names_.emplace(name, id);
 
@@ -254,7 +236,7 @@ void Cluster::NotifySliceEviction(StreamId stream, BatchSeq min_live) {
     }
   }
   for (DeltaCache* cache : caches) {
-    Bump(obs_.delta_invalidations, cache->InvalidateBelow(min_live));
+    Count(Ctr::kDeltaInvalidations, cache->InvalidateBelow(min_live));
   }
   BumpMqoGeneration();
 }
@@ -300,11 +282,7 @@ Status Cluster::FeedStream(StreamId stream, const StreamTupleVec& tuples) {
     PumpPending(stream);
     if (streams_[stream].pending.size() >=
         config_.overload.pending_queue_capacity) {
-      {
-        std::lock_guard lock(overload_mu_);
-        ++overload_stats_.feed_rejections;
-      }
-      Bump(obs_.feed_rejections);
+      Count(Ctr::kFeedRejections);
       // The backpressure terminus: the feeder gets a retryable rejection
       // instead of the cluster buffering without bound.
       return Status::ResourceExhausted("stream " + streams_[stream].name +
@@ -382,10 +360,9 @@ void Cluster::EnqueueBatch(StreamBatch&& batch) {
           static_cast<size_t>(keep * static_cast<double>(timing));
       const size_t shed = ShedTimingSuffix(&batch, max_keep);
       if (shed > 0) {
-        Bump(obs_.door_shed_tuples, shed);
+        Count(Ctr::kDoorShedTuples, shed);
         std::lock_guard lock(overload_mu_);
         state.shed[batch.seq].door_shed_tuples += shed;
-        overload_stats_.door_shed_tuples += shed;
       }
     }
   }
@@ -414,17 +391,13 @@ void Cluster::PumpPending(StreamId stream) {
   StreamState& state = streams_[stream];
   while (!state.pending.empty()) {
     if (!HasCredit(stream)) {
-      Bump(obs_.credit_stalls);
-      std::lock_guard lock(overload_mu_);
-      ++overload_stats_.credit_stalls;
+      Count(Ctr::kCreditStalls);
       break;
     }
     if (!coordinator_->CanPlanSnFor(stream, state.pending.front().seq)) {
       // The injector stalls rather than extending the SN-VTS plan past the
       // cap (§4.3's bounded-scalarization discipline under overload).
-      Bump(obs_.plan_stalls);
-      std::lock_guard lock(overload_mu_);
-      ++overload_stats_.plan_stalls;
+      Count(Ctr::kPlanStalls);
       break;
     }
     StreamBatch batch = std::move(state.pending.front());
@@ -460,15 +433,12 @@ void Cluster::DeliverBatch(const StreamBatch& batch) {
     // preserved, so the cost is pure added latency.
     double wait = config_.retry.BackoffNs(1);
     SimCost::Add(wait);
-    fault_stats_.delivery_retry.backoff_ns += wait;
-    ++fault_stats_.delivery_retry.retries;
-    ++fault_stats_.batches_redelivered;
-    Bump(obs_.batches_redelivered);
-    Bump(obs_.fault_retries);
-    Bump(obs_.backoff_us, static_cast<uint64_t>(wait / 1e3));
+    Count(Ctr::kDeliveryRetries);
+    Count(Ctr::kDeliveryBackoffNs, WholeNs(wait));
+    Count(Ctr::kBatchesRedelivered);
   } else if (fate == BatchFate::kDelay) {
     SimCost::Add(inj->schedule().batch_delay_ns);
-    ++fault_stats_.batches_delayed;
+    Count(Ctr::kBatchesDelayed);
   }
 
   // At-least-once delivery -> exactly-once injection: the sequence gate
@@ -476,8 +446,7 @@ void Cluster::DeliverBatch(const StreamBatch& batch) {
   const int copies = fate == BatchFate::kDuplicate ? 2 : 1;
   for (int c = 0; c < copies; ++c) {
     if (batch.seq < delivered_next_[batch.stream]) {
-      ++fault_stats_.duplicates_suppressed;
-      Bump(obs_.duplicates_suppressed);
+      Count(Ctr::kDuplicatesSuppressed);
       continue;
     }
     InjectBatch(batch);
@@ -578,9 +547,14 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
         // with backoff. If the budget is exhausted the dispatcher escalates
         // to a slow reliable path (one more full send) — delivery never
         // fails, it only gets slower.
+        RetryStats ship;
         Status s = RunWithRetry(
             config_.retry, [&] { return fabric_->TryMessage(ingest, n, bytes); },
-            &fault_stats_.delivery_retry);
+            &ship);
+        Count(Ctr::kDeliveryAttempts, ship.attempts);
+        Count(Ctr::kDeliveryRetries, ship.retries);
+        Count(Ctr::kDeliveryExhausted, ship.exhausted);
+        Count(Ctr::kDeliveryBackoffNs, WholeNs(ship.backoff_ns));
         if (!s.ok()) {
           fabric_->Message(ingest, n, bytes);
         }
@@ -593,9 +567,7 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
                                               std::move(timeless[n]),
                                               std::move(timing[n])});
       deferred[n] = 1;
-      Bump(obs_.backlog_deferred);
-      std::lock_guard lock(overload_mu_);
-      ++overload_stats_.backlog_deferred;
+      Count(Ctr::kBacklogDeferred);
       continue;
     }
     if (!filtered && !backlog_[n].empty()) {
@@ -688,8 +660,7 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
       }
       injected_window_edges_[batch.stream][target] += mig_edges;
       migration_->edges_copied += mig_edges;
-      reconfig_stats_.dual_applied_edges += mig_edges;
-      Bump(obs_.reconfig_dual_applied_edges, mig_edges);
+      Count(Ctr::kDualAppliedEdges, mig_edges);
     }
   }
 
@@ -703,8 +674,8 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
   }
   state.profile.tuples += batch.tuples.size();
   state.profile.batches += 1;
-  Bump(obs_.batches_injected);
-  Bump(obs_.tuples_injected, batch.tuples.size());
+  Count(Ctr::kBatchesInjected);
+  Count(Ctr::kTuplesInjected, batch.tuples.size());
   Bump(state.obs_batches);
   Bump(state.obs_tuples, batch.tuples.size());
 
@@ -724,11 +695,7 @@ void Cluster::AppendTimingEdges(
   // raise the stream's shed pressure, give maintenance one chance to free
   // expired slices (the listener typically kicks the daemon or runs a
   // synchronous pass), then retry once.
-  {
-    std::lock_guard lock(overload_mu_);
-    ++overload_stats_.append_pressure_events;
-  }
-  Bump(obs_.append_pressure_events);
+  Count(Ctr::kAppendPressureEvents);
   streams_[stream].pressure.Raise(config_.overload.append_failure_pressure);
   if (pressure_listener_) {
     pressure_listener_(stream, n);
@@ -748,18 +715,12 @@ void Cluster::AppendTimingEdges(
   if (lost == 0) {
     return;
   }
-  if (config_.overload.enabled && config_.overload.shed_timing) {
-    Bump(obs_.injector_shed_edges, lost);
-  } else {
-    Bump(obs_.timing_edges_lost, lost);
-  }
+  Count(config_.overload.enabled && config_.overload.shed_timing
+            ? Ctr::kInjectorShedEdges
+            : Ctr::kTimingEdgesLost,
+        lost);
   std::lock_guard lock(overload_mu_);
   streams_[stream].shed[seq].injector_lost_edges += lost;
-  if (config_.overload.enabled && config_.overload.shed_timing) {
-    overload_stats_.injector_shed_edges += lost;
-  } else {
-    overload_stats_.timing_edges_lost += lost;
-  }
 }
 
 void Cluster::DrainBacklog(NodeId n) {
@@ -795,9 +756,7 @@ void Cluster::DrainBacklog(NodeId n) {
       }
     }
     coordinator_->ReportInjected(n, d.stream, d.seq);
-    Bump(obs_.backlog_drained);
-    std::lock_guard lock(overload_mu_);
-    ++overload_stats_.backlog_drained;
+    Count(Ctr::kBacklogDrained);
   }
 }
 
@@ -841,7 +800,7 @@ void Cluster::TickHealth(StreamTime now_ms) {
       }
       fabric_->Heartbeat(n, 0);
       health_->Heartbeat(n, now_ms);
-      Bump(obs_.heartbeats);
+      Count(Ctr::kHeartbeats);
     }
     for (NodeId n = 0; n < config_.nodes; ++n) {
       if (!fabric_->node_up(n)) {
@@ -862,16 +821,12 @@ void Cluster::TickHealth(StreamTime now_ms) {
         // like a crash) but injection keeps feeding it so it can catch up.
         coordinator_->SetNodeActive(n, false);
         fabric_->SetNodeServing(n, false);
-        Bump(obs_.quarantines);
-        std::lock_guard lock(overload_mu_);
-        ++overload_stats_.quarantines;
+        Count(Ctr::kQuarantines);
       } else if (action == HealthAction::kReactivate &&
                  !fabric_->node_serving(n)) {
         coordinator_->SetNodeActive(n, true);
         fabric_->SetNodeServing(n, true);
-        Bump(obs_.reactivations);
-        std::lock_guard lock(overload_mu_);
-        ++overload_stats_.reactivations;
+        Count(Ctr::kReactivations);
       }
     }
   }
@@ -906,13 +861,13 @@ void Cluster::TickHealth(StreamTime now_ms) {
       StragglerAction action = straggler_->Evaluate(n);
       if (action == StragglerAction::kDemote) {
         --healthy;
-        Bump(obs_.straggler_demotions);
+        Count(Ctr::kStragglerDemotions);
         if (tracer_ != nullptr) {
           tracer_->Instant("straggler", "straggler/demote", n);
         }
       } else if (action == StragglerAction::kPromote) {
         ++healthy;
-        Bump(obs_.straggler_promotions);
+        Count(Ctr::kStragglerPromotions);
         if (tracer_ != nullptr) {
           tracer_->Instant("straggler", "straggler/promote", n);
         }
@@ -933,11 +888,50 @@ void Cluster::SetPressureListener(std::function<void(StreamId, NodeId)> listener
 }
 
 OverloadStats Cluster::overload_stats() const {
-  std::lock_guard lock(overload_mu_);
-  OverloadStats s = overload_stats_;
-  if (health_ != nullptr) {
-    s.heartbeats = health_->stats().heartbeats;
-  }
+  OverloadStats s;
+  s.feed_rejections = Value(Ctr::kFeedRejections);
+  s.credit_stalls = Value(Ctr::kCreditStalls);
+  s.plan_stalls = Value(Ctr::kPlanStalls);
+  s.door_shed_tuples = Value(Ctr::kDoorShedTuples);
+  s.injector_shed_edges = Value(Ctr::kInjectorShedEdges);
+  s.timing_edges_lost = Value(Ctr::kTimingEdgesLost);
+  s.append_pressure_events = Value(Ctr::kAppendPressureEvents);
+  s.backlog_deferred = Value(Ctr::kBacklogDeferred);
+  s.backlog_drained = Value(Ctr::kBacklogDrained);
+  s.heartbeats = Value(Ctr::kHeartbeats);
+  s.quarantines = Value(Ctr::kQuarantines);
+  s.reactivations = Value(Ctr::kReactivations);
+  return s;
+}
+
+Cluster::FaultStats Cluster::fault_stats() const {
+  FaultStats s;
+  s.batches_redelivered = Value(Ctr::kBatchesRedelivered);
+  s.duplicates_suppressed = Value(Ctr::kDuplicatesSuppressed);
+  s.batches_delayed = Value(Ctr::kBatchesDelayed);
+  s.crashes = Value(Ctr::kCrashes);
+  s.reroutes = Value(Ctr::kReroutes);
+  s.degraded_executions = Value(Ctr::kDegradedExecutions);
+  s.delivery_retry.attempts = Value(Ctr::kDeliveryAttempts);
+  s.delivery_retry.retries = Value(Ctr::kDeliveryRetries);
+  s.delivery_retry.exhausted = Value(Ctr::kDeliveryExhausted);
+  s.delivery_retry.backoff_ns =
+      static_cast<double>(Value(Ctr::kDeliveryBackoffNs));
+  return s;
+}
+
+Cluster::ReconfigStats Cluster::reconfig_stats() const {
+  ReconfigStats s;
+  s.moves_started = Value(Ctr::kMovesStarted);
+  s.moves_committed = Value(Ctr::kMovesCommitted);
+  s.moves_aborted = Value(Ctr::kMovesAborted);
+  s.edges_copied = Value(Ctr::kEdgesCopied);
+  s.dual_applied_edges = Value(Ctr::kDualAppliedEdges);
+  s.batches_replayed = Value(Ctr::kBatchesReplayed);
+  s.nodes_added = Value(Ctr::kNodesAdded);
+  s.drains_started = Value(Ctr::kDrainsStarted);
+  s.rehomed_registrations = Value(Ctr::kRehomedRegistrations);
+  s.stale_edges_purged = Value(Ctr::kStaleEdgesPurged);
   return s;
 }
 
@@ -1029,10 +1023,8 @@ StatusOr<ExecContext> Cluster::BuildContext(
     std::vector<std::unique_ptr<NeighborSource>>* holders, DegradeState* degrade) {
   ExecContext ctx;
   ctx.strings = strings_;
-  if constexpr (obs::kCompiledIn) {
-    ctx.tracer = tracer_;
-    ctx.trace_node = home;
-  }
+  ctx.tracer = tracer_;
+  ctx.trace_node = home;
   // One ownership snapshot for every source of this execution: all reads
   // route by the same epoch even if a migration commits mid-flight.
   const auto view = shard_map_.View();
@@ -1083,8 +1075,7 @@ NodeId Cluster::EffectiveHome(NodeId home) {
     for (NodeId n = 0; n < config_.nodes; ++n) {
       if (fabric_->node_serving(n) && draining_.count(n) == 0 &&
           !StragglerSlow(n)) {
-        ++fault_stats_.reroutes;
-        Bump(obs_.reroutes);
+        Count(Ctr::kReroutes);
         return n;
       }
     }
@@ -1094,8 +1085,7 @@ NodeId Cluster::EffectiveHome(NodeId home) {
   }
   for (NodeId n = 0; n < config_.nodes; ++n) {
     if (fabric_->node_serving(n) && draining_.count(n) == 0) {
-      ++fault_stats_.reroutes;
-      Bump(obs_.reroutes);
+      Count(Ctr::kReroutes);
       return n;
     }
   }
@@ -1104,8 +1094,7 @@ NodeId Cluster::EffectiveHome(NodeId home) {
   }
   for (NodeId n = 0; n < config_.nodes; ++n) {
     if (fabric_->node_serving(n)) {
-      ++fault_stats_.reroutes;
-      Bump(obs_.reroutes);
+      Count(Ctr::kReroutes);
       return n;
     }
   }
@@ -1123,10 +1112,7 @@ void Cluster::ObserveServiceSample(NodeId n, double service_ns) {
     std::lock_guard lock(service_mu_);
     if (n < service_hist_.size()) {
       service_hist_[n].Add(service_ns);
-      if (n < service_hist_metrics_.size() &&
-          service_hist_metrics_[n] != nullptr) {
-        service_hist_metrics_[n]->Observe(service_ns);
-      }
+      service_hist_metrics_[n]->Observe(service_ns);
     }
   }
 }
@@ -1188,20 +1174,19 @@ void Cluster::ApplyDegrade(const DegradeState& degrade, QueryExecution* exec) {
   exec->skipped_shards = degrade.skipped_shards;
   exec->fault_retries = degrade.retry.retries;
   exec->backoff_ms = degrade.retry.backoff_ns / 1e6;
-  Bump(obs_.fault_retries, degrade.retry.retries);
-  Bump(obs_.backoff_us, static_cast<uint64_t>(degrade.retry.backoff_ns / 1e3));
+  Count(Ctr::kFaultRetries, degrade.retry.retries);
+  Count(Ctr::kFaultBackoffNs, WholeNs(degrade.retry.backoff_ns));
   if (degrade.partial) {
-    ++fault_stats_.degraded_executions;
-    Bump(obs_.degraded_executions);
+    Count(Ctr::kDegradedExecutions);
   }
   // Deadline surface (§5.11): expired implies work was actually cancelled,
   // which implies partial (sources / the step hook set both together).
   exec->deadline_expired = degrade.deadline_expired;
   exec->deadline_skipped_reads = degrade.deadline_skipped_reads;
-  Bump(obs_.deadline_skipped_reads, degrade.deadline_skipped_reads);
-  Bump(obs_.deadline_cancelled_steps, degrade.steps_cancelled);
+  Count(Ctr::kDeadlineSkippedReads, degrade.deadline_skipped_reads);
+  Count(Ctr::kDeadlineCancelledSteps, degrade.steps_cancelled);
   if (degrade.deadline_expired) {
-    Bump(obs_.deadline_expired);
+    Count(Ctr::kDeadlineExpired);
   }
   // Declared completeness: the minimum of the served fraction of charged
   // reads and the executed fraction of fork-join rounds. 1.0 when nothing
@@ -1396,12 +1381,12 @@ StatusOr<QueryExecution> Cluster::RunQuery(const Query& q,
   exec.hedges_issued = hedges_issued;
   exec.hedges_won = hedges_won;
   if (hedges_issued > 0) {
-    Bump(obs_.hedge_issued, hedges_issued);
-    Bump(obs_.hedge_wins, hedges_won);
+    Count(Ctr::kHedgeIssued, hedges_issued);
+    Count(Ctr::kHedgeWins, hedges_won);
     // Every hedge produces exactly one losing response, cancelled on
     // arrival; the dedup gate counts the suppression.
-    Bump(obs_.hedge_cancelled, hedges_issued);
-    Bump(obs_.hedge_duplicates_suppressed, dedup.duplicates());
+    Count(Ctr::kHedgeCancelled, hedges_issued);
+    Count(Ctr::kHedgeDuplicatesSuppressed, dedup.duplicates());
     assert(dedup.mismatches() == 0);
   }
   return exec;
@@ -1465,8 +1450,8 @@ StatusOr<QueryExecution> Cluster::RunQueryDelta(Registration& reg,
   DeltaCache::Stats before = cache->stats();
   cache->BeginTrigger(stored_epoch, range.lo, range.hi);
   DeltaCache::Stats after = cache->stats();
-  Bump(obs_.delta_invalidations, after.invalidations - before.invalidations);
-  Bump(obs_.delta_epoch_flushes, after.epoch_flushes - before.epoch_flushes);
+  Count(Ctr::kDeltaInvalidations, after.invalidations - before.invalidations);
+  Count(Ctr::kDeltaEpochFlushes, after.epoch_flushes - before.epoch_flushes);
 
   DeltaSpec spec;
   spec.cache = cache;
@@ -1491,8 +1476,8 @@ StatusOr<QueryExecution> Cluster::RunQueryDelta(Registration& reg,
   if (!delta.ok()) {
     return delta.status();
   }
-  Bump(obs_.delta_hits, delta->slices_cached);
-  Bump(obs_.delta_misses, delta->slices_fresh);
+  Count(Ctr::kDeltaHits, delta->slices_cached);
+  Count(Ctr::kDeltaMisses, delta->slices_fresh);
   if (delta->fallback) {
     return QueryExecution{};  // Caller re-runs cold (*used stays false).
   }
@@ -1645,7 +1630,7 @@ StatusOr<QueryExecution> Cluster::OneShotParsed(const Query& q, NodeId home,
   if (!q.unions.empty()) {
     auto exec = ExecuteUnion(reg, 0, snapshot);
     if (exec.ok()) {
-      Bump(obs_.queries_oneshot);
+      Count(Ctr::kQueriesOneShot);
     }
     return exec;
   }
@@ -1677,7 +1662,7 @@ StatusOr<QueryExecution> Cluster::OneShotParsed(const Query& q, NodeId home,
   if (exec.ok()) {
     ApplyDegrade(degrade, &exec.value());
     ApplyWindowLoss(reg, 0, &exec.value());
-    Bump(obs_.queries_oneshot);
+    Count(Ctr::kQueriesOneShot);
   }
   return exec;
 }
@@ -1779,8 +1764,7 @@ void Cluster::AddToTemplateGroup(ContinuousHandle h) {
     idx = groups_.size();
     group_index_.emplace(g.key, idx);
     groups_.push_back(std::move(owned));
-    mqo_groups_formed_.fetch_add(1, std::memory_order_relaxed);
-    Bump(obs_.mqo_groups_formed);
+    Count(Ctr::kMqoGroupsFormed);
   }
   TemplateGroup& g = *groups_[idx];
   {
@@ -1791,8 +1775,7 @@ void Cluster::AddToTemplateGroup(ContinuousHandle h) {
   reg.group = static_cast<int>(idx);
   reg.hole_constant = sig.hole_constant;
   reg.var_to_canon = std::move(sig.var_to_canon);
-  mqo_grouped_registrations_.fetch_add(1, std::memory_order_relaxed);
-  Bump(obs_.mqo_grouped_registrations);
+  Count(Ctr::kMqoGroupedRegistrations);
   BumpMqoGeneration();
 }
 
@@ -1813,8 +1796,7 @@ void Cluster::RemoveFromTemplateGroup(ContinuousHandle h) {
       g.live = false;
       DetachDeltaCache(g.probe);
       group_index_.erase(g.key);
-      mqo_groups_dissolved_.fetch_add(1, std::memory_order_relaxed);
-      Bump(obs_.mqo_groups_dissolved);
+      Count(Ctr::kMqoGroupsDissolved);
     }
   }
   reg.group = -1;
@@ -1845,13 +1827,12 @@ bool Cluster::ContinuousActive(ContinuousHandle h) const {
 
 Cluster::MqoStats Cluster::mqo_stats() const {
   MqoStats s;
-  s.grouped_registrations =
-      mqo_grouped_registrations_.load(std::memory_order_relaxed);
-  s.groups_formed = mqo_groups_formed_.load(std::memory_order_relaxed);
-  s.groups_dissolved = mqo_groups_dissolved_.load(std::memory_order_relaxed);
-  s.shared_evals = mqo_shared_evals_.load(std::memory_order_relaxed);
-  s.fanout_served = mqo_fanout_served_.load(std::memory_order_relaxed);
-  s.independent_fallbacks = mqo_fallbacks_.load(std::memory_order_relaxed);
+  s.grouped_registrations = Value(Ctr::kMqoGroupedRegistrations);
+  s.groups_formed = Value(Ctr::kMqoGroupsFormed);
+  s.groups_dissolved = Value(Ctr::kMqoGroupsDissolved);
+  s.shared_evals = Value(Ctr::kMqoSharedEvals);
+  s.fanout_served = Value(Ctr::kMqoFanoutServed);
+  s.independent_fallbacks = Value(Ctr::kMqoFallbacks);
   return s;
 }
 
@@ -1998,7 +1979,7 @@ StatusOr<QueryExecution> Cluster::ExecuteContinuousImpl(ContinuousHandle h,
     if (exec.ok()) {
       exec->window_end_ms = end_ms;
       if (count) {
-        Bump(obs_.queries_continuous);
+        Count(Ctr::kQueriesContinuous);
       }
       if (tracer_ != nullptr) {
         tracer_->Instant("query", "query/deliver", reg.home);
@@ -2016,7 +1997,7 @@ StatusOr<QueryExecution> Cluster::ExecuteContinuousImpl(ContinuousHandle h,
     if (grouped.has_value()) {
       if (grouped->ok()) {
         if (count) {
-          Bump(obs_.queries_continuous);
+          Count(Ctr::kQueriesContinuous);
         }
         if (tracer_ != nullptr) {
           tracer_->Instant("query", "query/deliver", reg.home);
@@ -2074,17 +2055,17 @@ StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
       ApplyDegrade(degrade, &exec.value());
       ApplyWindowLoss(reg, end_ms, &exec.value());
       if (count) {
-        Bump(obs_.queries_continuous);
+        Count(Ctr::kQueriesContinuous);
       }
       if (tracer_ != nullptr) {
         tracer_->Instant("query", "query/deliver", home);
       }
       return exec;
     }
-    Bump(obs_.delta_bypasses);
+    Count(Ctr::kDeltaBypasses);
     degrade = DegradeState{};
   } else if (allow_delta && reg.delta_cache != nullptr) {
-    Bump(obs_.delta_bypasses);
+    Count(Ctr::kDeltaBypasses);
   }
 
   std::vector<std::unique_ptr<NeighborSource>> holders;
@@ -2107,7 +2088,7 @@ StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
     ApplyDegrade(degrade, &exec.value());
     ApplyWindowLoss(reg, end_ms, &exec.value());
     if (count) {
-      Bump(obs_.queries_continuous);
+      Count(Ctr::kQueriesContinuous);
     }
     if (tracer_ != nullptr) {
       tracer_->Instant("query", "query/deliver", home);
@@ -2245,8 +2226,8 @@ bool Cluster::InstallPlan(Registration& reg,
     const DeltaCache::Stats before = reg.delta_cache->stats();
     reg.delta_cache->SetPlanVersion(version);
     const DeltaCache::Stats after = reg.delta_cache->stats();
-    Bump(obs_.delta_plan_flushes, after.plan_flushes - before.plan_flushes);
-    Bump(obs_.delta_invalidations, after.invalidations - before.invalidations);
+    Count(Ctr::kDeltaPlanFlushes, after.plan_flushes - before.plan_flushes);
+    Count(Ctr::kDeltaInvalidations, after.invalidations - before.invalidations);
   }
   BumpMqoGeneration();
   return true;
@@ -2282,11 +2263,7 @@ void Cluster::MaybeReplan(Registration& reg, StreamTime end_ms, NodeId home) {
     }
     reg.triggers_since_check = 0;
   }
-  {
-    std::lock_guard lock(replan_mu_);
-    ++replan_stats_.checks;
-  }
-  Bump(obs_.replan_checks);
+  Count(Ctr::kReplanChecks);
 
   StreamStatsSnapshot fresh = stream_stats_.Snapshot();
   if (test_hooks::stale_stats_snapshot.load(std::memory_order_relaxed)) {
@@ -2297,11 +2274,7 @@ void Cluster::MaybeReplan(Registration& reg, StreamTime end_ms, NodeId home) {
   if (!DriftExceeds(current->stats, fresh, reg.stream_ids, config_.replan)) {
     return;
   }
-  {
-    std::lock_guard lock(replan_mu_);
-    ++replan_stats_.drift_triggers;
-  }
-  Bump(obs_.replan_drift_triggers);
+  Count(Ctr::kReplanDriftTriggers);
 
   // Synthesize a candidate from this trigger's window cardinalities plus the
   // live snapshot (observed fan-outs refine the bound-expansion estimates).
@@ -2366,11 +2339,7 @@ Cluster::GateResult Cluster::GatedCutover(
     if (budget == 0 || shadow_rows <= budget) {
       return false;
     }
-    {
-      std::lock_guard lock(replan_mu_);
-      ++replan_stats_.budget_overruns;
-    }
-    Bump(obs_.replan_budget_overruns);
+    Count(Ctr::kReplanBudgetOverruns);
     return true;
   };
   auto old_result = ShadowExecute(reg, end_ms, home, current->order, &shadow_rows);
@@ -2389,21 +2358,13 @@ Cluster::GateResult Cluster::GatedCutover(
     parity = old_result.status().code() == new_result.status().code();
   }
   if (!parity) {
-    {
-      std::lock_guard lock(replan_mu_);
-      ++replan_stats_.parity_failures;
-    }
-    Bump(obs_.replan_parity_failures);
+    Count(Ctr::kReplanParityFailures);
     return GateResult::kDiverged;
   }
   if (!InstallPlan(reg, std::move(next), /*rekey=*/true, current.get())) {
     return GateResult::kKept;
   }
-  {
-    std::lock_guard lock(replan_mu_);
-    ++replan_stats_.cutovers;
-  }
-  Bump(obs_.replan_cutovers);
+  Count(Ctr::kReplanCutovers);
   return GateResult::kInstalled;
 }
 
@@ -2435,17 +2396,19 @@ Status Cluster::PinContinuousPlan(ContinuousHandle h, const PlanPin& pin) {
     state->stats = stream_stats_.Snapshot();
   }
   InstallPlan(reg, std::move(state), /*rekey=*/true);
-  {
-    std::lock_guard lock(replan_mu_);
-    ++replan_stats_.pins;
-  }
-  Bump(obs_.replan_pins);
+  Count(Ctr::kReplanPins);
   return Status::Ok();
 }
 
 Cluster::ReplanStats Cluster::replan_stats() const {
-  std::lock_guard lock(replan_mu_);
-  return replan_stats_;
+  ReplanStats s;
+  s.checks = Value(Ctr::kReplanChecks);
+  s.drift_triggers = Value(Ctr::kReplanDriftTriggers);
+  s.cutovers = Value(Ctr::kReplanCutovers);
+  s.parity_failures = Value(Ctr::kReplanParityFailures);
+  s.budget_overruns = Value(Ctr::kReplanBudgetOverruns);
+  s.pins = Value(Ctr::kReplanPins);
+  return s;
 }
 
 std::vector<int> Cluster::ContinuousPlanOf(ContinuousHandle h) const {
@@ -2484,15 +2447,14 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
     // A degraded cluster splits the whole group back to independent triggers
     // for this round: every member then reports its own partial/degrade
     // accounting instead of inheriting the probe's.
-    mqo_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    Bump(obs_.mqo_fallbacks);
+    Count(Ctr::kMqoFallbacks);
     return std::nullopt;
   }
 
   const SnapshotNum sn = coordinator_->StableSn();
   const uint64_t stored = StoredEpoch(sn);
   const uint64_t epoch = shard_map_.epoch();
-  const uint64_t gen = mqo_gen_.load(std::memory_order_relaxed);
+  const uint64_t gen = memo_gen_.load(std::memory_order_relaxed);
   bool paid = false;
   if (!(g->memo_valid && g->memo_end_ms == end_ms &&
         g->memo_stored_epoch == stored && g->memo_snapshot == sn &&
@@ -2500,15 +2462,13 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
     g->memo_valid = false;
     auto shared = ExecuteRegistrationAt(g->probe, end_ms, /*allow_delta=*/true,
                                         /*count=*/false);
-    mqo_shared_evals_.fetch_add(1, std::memory_order_relaxed);
-    Bump(obs_.mqo_shared_evals);
+    Count(Ctr::kMqoSharedEvals);
     if (!shared.ok() || shared->partial || shared->deadline_expired ||
         shared->completeness < 1.0) {
       // A failed or degraded probe is never memoized and never fanned out:
       // the member re-runs independently so its error/partial surface is
       // exactly what a cluster without MQO would have produced.
-      mqo_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      Bump(obs_.mqo_fallbacks);
+      Count(Ctr::kMqoFallbacks);
       return std::nullopt;
     }
     g->memo_exec = std::move(*shared);
@@ -2544,8 +2504,7 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
     // every member's join) cannot reproduce that. Run such members
     // independently so grouped and independent error semantics stay
     // identical.
-    mqo_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    Bump(obs_.mqo_fallbacks);
+    Count(Ctr::kMqoFallbacks);
     return std::nullopt;
   }
 
@@ -2553,10 +2512,8 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
   Stopwatch wall;
   ExecContext fan_ctx;
   fan_ctx.strings = strings_;
-  if constexpr (obs::kCompiledIn) {
-    fan_ctx.tracer = tracer_;
-    fan_ctx.trace_node = reg.home;
-  }
+  fan_ctx.tracer = tracer_;
+  fan_ctx.trace_node = reg.home;
   auto result = ProjectMemberFromProbe(reg.query, fan_ctx, g->memo_exec.result,
                                        *rows, reg.var_to_canon);
   if (!result.ok()) {
@@ -2589,8 +2546,7 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
     out.delta_slices_cached = g->memo_exec.delta_slices_cached;
     out.delta_slices_fresh = g->memo_exec.delta_slices_fresh;
   } else {
-    mqo_fanout_served_.fetch_add(1, std::memory_order_relaxed);
-    Bump(obs_.mqo_fanout_served);
+    Count(Ctr::kMqoFanoutServed);
   }
   ApplyWindowLoss(reg, end_ms, &out);
   return std::optional<StatusOr<QueryExecution>>(std::move(out));
@@ -2682,8 +2638,7 @@ Status Cluster::ReplayBatch(const StreamBatch& batch) {
   if (batch.seq < delivered_next_[batch.stream]) {
     // At-least-once replay (checkpoint log + upstream backup overlap):
     // already-injected batches are suppressed by the sequence gate.
-    ++fault_stats_.duplicates_suppressed;
-    Bump(obs_.duplicates_suppressed);
+    Count(Ctr::kDuplicatesSuppressed);
     return Status::Ok();
   }
   // Bring the adaptor level with the replay so later live feeding continues
@@ -2778,15 +2733,14 @@ Status Cluster::CrashNode(NodeId node) {
         continue;
       }
       for (DeltaCache* cache : delta_caches_by_stream_[s]) {
-        Bump(obs_.delta_invalidations, cache->InvalidateAll());
+        Count(Ctr::kDeltaInvalidations, cache->InvalidateAll());
       }
     }
   }
   for (auto& per_node : injected_window_edges_) {
     per_node[node] = 0;  // The restore replay re-counts from scratch.
   }
-  ++fault_stats_.crashes;
-  Bump(obs_.crashes);
+  Count(Ctr::kCrashes);
   BumpMqoGeneration();
   return Status::Ok();
 }
@@ -2833,8 +2787,7 @@ Status Cluster::ReplayBatchForNode(NodeId node, const StreamBatch& batch) {
   BatchSeq next = prev == kNoBatch ? 0 : prev + 1;
   if (batch.seq < next) {
     // Overlap between the checkpoint log and the upstream-backup tail.
-    ++fault_stats_.duplicates_suppressed;
-    Bump(obs_.duplicates_suppressed);
+    Count(Ctr::kDuplicatesSuppressed);
     return Status::Ok();
   }
   if (batch.seq > next) {
@@ -2949,8 +2902,7 @@ Status Cluster::BeginShardMove(uint32_t shard, NodeId target) {
       stream_indexes_raw_[s][target]->PurgeShard(in_shard);
       purged += transients_raw_[s][target]->PurgeShard(in_shard);
     }
-    reconfig_stats_.stale_edges_purged += purged;
-    Bump(obs_.reconfig_stale_edges_purged, purged);
+    Count(Ctr::kStaleEdgesPurged, purged);
   }
   // From here on every read must filter by ownership: even if this very
   // first migration aborts, the partial copy on the target has to stay
@@ -2962,8 +2914,7 @@ Status Cluster::BeginShardMove(uint32_t shard, NodeId target) {
   migration_->target = target;
   migration_->begin_next = delivered_next_;
   migration_->replayed_next.assign(streams_.size(), 0);
-  ++reconfig_stats_.moves_started;
-  Bump(obs_.reconfig_moves_started);
+  Count(Ctr::kMovesStarted);
   if (tracer_ != nullptr) {
     tracer_->Instant("reconfig", "reconfig/begin", source);
   }
@@ -3067,7 +3018,7 @@ Status Cluster::ReplayBatchForShard(const StreamBatch& batch) {
     injected_window_edges_[batch.stream][mig.target] += edges;
   }
   mig.edges_copied += edges;
-  ++reconfig_stats_.batches_replayed;
+  Count(Ctr::kBatchesReplayed);
   return Status::Ok();
 }
 
@@ -3116,10 +3067,8 @@ void Cluster::TryCommitMigration() {
   Status st = shard_map_.CommitMove(migration_->shard, target);
   assert(st.ok());
   (void)st;
-  reconfig_stats_.edges_copied += migration_->edges_copied;
-  ++reconfig_stats_.moves_committed;
-  Bump(obs_.reconfig_moves_committed);
-  Bump(obs_.reconfig_edges_copied, migration_->edges_copied);
+  Count(Ctr::kMovesCommitted);
+  Count(Ctr::kEdgesCopied, migration_->edges_copied);
   if (tracer_ != nullptr) {
     tracer_->Instant("reconfig", "reconfig/commit", target);
   }
@@ -3134,8 +3083,7 @@ void Cluster::AbortMigrationInternal(bool taint, const std::string& reason) {
   if (taint) {
     migration_taints_.insert({migration_->shard, migration_->target});
   }
-  ++reconfig_stats_.moves_aborted;
-  Bump(obs_.reconfig_moves_aborted);
+  Count(Ctr::kMovesAborted);
   if (tracer_ != nullptr) {
     tracer_->Instant("reconfig", "reconfig/abort", migration_->source);
   }
@@ -3214,16 +3162,11 @@ StatusOr<NodeId> Cluster::AddNode() {
   {
     std::lock_guard lock(service_mu_);
     service_hist_.resize(config_.nodes);
-    service_hist_metrics_.resize(config_.nodes, nullptr);
-    if constexpr (obs::kCompiledIn) {
-      if (obs::MetricsRegistry* m = config_.metrics; m != nullptr) {
-        service_hist_metrics_[id] = m->GetHistogram(
-            obs::MetricsRegistry::Labeled("wukongs_node_service_latency_ns",
-                                          {{"node", std::to_string(id)}}));
-      }
-    }
+    service_hist_metrics_.push_back(metrics_->GetHistogram(
+        obs::MetricsRegistry::Labeled("wukongs_node_service_latency_ns",
+                                      {{"node", std::to_string(id)}})));
   }
-  ++reconfig_stats_.nodes_added;
+  Count(Ctr::kNodesAdded);
   if (tracer_ != nullptr) {
     tracer_->Instant("reconfig", "reconfig/add_node", id);
   }
@@ -3264,7 +3207,7 @@ Status Cluster::BeginDrain(NodeId node) {
     }
   }
   RehomeRegistrations(node, fallback);
-  ++reconfig_stats_.drains_started;
+  Count(Ctr::kDrainsStarted);
   if (tracer_ != nullptr) {
     tracer_->Instant("reconfig", "reconfig/drain", node);
   }
@@ -3281,8 +3224,7 @@ void Cluster::RehomeRegistrations(NodeId from, NodeId to) {
     for (StreamId sid : reg.stream_ids) {
       streams_[sid].subscribers.insert(to);
     }
-    ++reconfig_stats_.rehomed_registrations;
-    Bump(obs_.reconfig_rehomed_registrations);
+    Count(Ctr::kRehomedRegistrations);
   }
   // Template-group probes are registrations too (just not user-visible):
   // the shared evaluation must leave a draining node with its members.
@@ -3299,9 +3241,6 @@ void Cluster::RehomeRegistrations(NodeId from, NodeId to) {
 }
 
 void Cluster::UpdateScrapedMetrics() {
-  if constexpr (!obs::kCompiledIn) {
-    return;
-  }
   obs::MetricsRegistry* m = config_.metrics;
   if (m == nullptr) {
     return;
@@ -3463,10 +3402,6 @@ void Cluster::UpdateScrapedMetrics() {
 }
 
 std::string Cluster::DumpMetrics(const std::string& name_filter) {
-  if constexpr (!obs::kCompiledIn) {
-    (void)name_filter;
-    return {};
-  }
   if (config_.metrics == nullptr) {
     return {};
   }

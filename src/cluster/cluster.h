@@ -13,6 +13,7 @@
 #ifndef SRC_CLUSTER_CLUSTER_H_
 #define SRC_CLUSTER_CLUSTER_H_
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -158,10 +159,12 @@ struct ClusterConfig {
   // and dequeue-order decisions. Null = deterministic seed behavior.
   testkit::ScheduleController* schedule = nullptr;
 
-  // Observability (§5.8; non-owning, must outlive the cluster). Null is the
-  // runtime kill switch: every wiring site guards on it, hot paths resolve
-  // metric handles once at construction, and a default-constructed config
-  // behaves exactly like the seed.
+  // Observability (§5.8; non-owning, must outlive the cluster). `metrics` is
+  // where the cluster keeps its event counters (the typed stats accessors
+  // read them back); null means the cluster keeps them in a registry of its
+  // own and exports nothing (DumpMetrics is empty). Clusters attached to one
+  // registry share its counters, so their stats views report the sum.
+  // `tracer` is the runtime switch for tracing: null records nothing.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };
@@ -352,11 +355,16 @@ class Cluster {
   void RunMaintenance(StreamTime live_horizon_ms);
 
   // --- Observability (§5.8). ---
+  // The registry holding this cluster's counters: config().metrics when one
+  // is attached, else one the cluster owns. Never null; components that run
+  // beside the cluster (WorkerPool, MaintenanceDaemon) resolve their handles
+  // here.
+  obs::MetricsRegistry* metrics() const { return metrics_; }
   // Refreshes export-time gauges in the attached registry — VTS lag per
   // stream (Local_VTS − Stable_VTS), phi-accrual suspicion per node, door
   // pressure and pending batches, memory, stream-index hit/miss, transient
   // GC reclaim, fabric verb counts, admission stats are scraped by their
-  // owners. No-op without a registry.
+  // owners. No-op unless a registry is attached through config().metrics.
   void UpdateScrapedMetrics();
   // UpdateScrapedMetrics + the registry's Prometheus-style exposition;
   // `name_filter` narrows to matching metric names (e.g. `node="0"`).
@@ -401,9 +409,10 @@ class Cluster {
     uint64_t crashes = 0;
     uint64_t reroutes = 0;               // Executions whose home was down.
     uint64_t degraded_executions = 0;    // Executions with partial results.
-    RetryStats delivery_retry;           // Dispatcher shipping retries.
+    // Dispatcher delivery: drop retransmits plus fallible-shipping retries.
+    RetryStats delivery_retry;
   };
-  const FaultStats& fault_stats() const { return fault_stats_; }
+  FaultStats fault_stats() const;
 
   bool NodeUp(NodeId n) const;
   uint32_t UpNodeCount() const;
@@ -481,7 +490,7 @@ class Cluster {
     // their copy at cutover; it must go before the shard can come back).
     uint64_t stale_edges_purged = 0;
   };
-  const ReconfigStats& reconfig_stats() const { return reconfig_stats_; }
+  ReconfigStats reconfig_stats() const;
 
   // --- Overload protection (§5.6). ---
   // Drives heartbeats / the failure detector, drains slow-node backlogs, and
@@ -541,8 +550,7 @@ class Cluster {
     PressureGauge pressure;
     std::unordered_map<BatchSeq, ShedRecord> shed;
 
-    // Per-stream ingest counters, resolved at DefineStream (null when no
-    // registry is attached).
+    // Per-stream ingest counters, resolved at DefineStream.
     obs::Counter* obs_batches = nullptr;
     obs::Counter* obs_tuples = nullptr;
   };
@@ -730,7 +738,7 @@ class Cluster {
   void DetachDeltaCache(Registration& reg);
   // Invalidate every group memo (GC, crash, reconfig, membership churn).
   void BumpMqoGeneration() {
-    mqo_gen_.fetch_add(1, std::memory_order_relaxed);
+    memo_gen_.fetch_add(1, std::memory_order_relaxed);
   }
   // Effective budget for an execution: the caller's deadline_ms, falling
   // back to config_.deadline.default_budget_ms; 0 (no budget) unless
@@ -851,21 +859,15 @@ class Cluster {
   // --- Template groups (§5.12). ---
   // groups_ entries are never erased (indices stay stable in Registration::
   // group); a dissolved group is marked !live. Guarded by mqo_mu_ together
-  // with group_index_ and the counters; per-group execution state is under
-  // each group's own mutex.
+  // with group_index_; per-group execution state is under each group's own
+  // mutex.
   mutable std::mutex mqo_mu_;
   std::vector<std::unique_ptr<TemplateGroup>> groups_;
   std::unordered_map<std::string, size_t> group_index_;
   // Memo generation: any event that can change window contents without
   // moving the stored epoch or snapshot (GC/eviction, crash, reconfig,
   // membership churn) bumps it, invalidating every group memo.
-  std::atomic<uint64_t> mqo_gen_{0};
-  std::atomic<uint64_t> mqo_grouped_registrations_{0};
-  std::atomic<uint64_t> mqo_groups_formed_{0};
-  std::atomic<uint64_t> mqo_groups_dissolved_{0};
-  std::atomic<uint64_t> mqo_shared_evals_{0};
-  std::atomic<uint64_t> mqo_fanout_served_{0};
-  std::atomic<uint64_t> mqo_fallbacks_{0};
+  std::atomic<uint64_t> memo_gen_{0};
   // delta_caches_by_stream_[stream] = caches of registrations whose window
   // pattern consumes that stream (each cache appears under exactly one
   // stream). Guarded by delta_mu_; eviction listeners and registration
@@ -876,8 +878,6 @@ class Cluster {
   // Live statistics: rates fed from InjectBatch (logical time), fan-outs
   // from the executor's per-step observer on production executions.
   StreamStatsCollector stream_stats_;
-  mutable std::mutex replan_mu_;  // Guards replan_stats_.
-  ReplanStats replan_stats_;
   std::function<void(const StreamBatch&)> batch_logger_;
   size_t index_replications_ = 0;
 
@@ -903,10 +903,8 @@ class Cluster {
   // Highest snapshot any stream edge was appended to a store at (never
   // decreases); the visibility term of StoredEpoch.
   std::atomic<SnapshotNum> stored_sn_high_{0};
-  ReconfigStats reconfig_stats_;
   std::function<void(const CrashEvent&)> crash_handler_;
   UpstreamBuffer* upstream_ = nullptr;
-  FaultStats fault_stats_;
 
   // --- Overload protection. ---
   LoadShedder shedder_;
@@ -922,77 +920,53 @@ class Cluster {
   std::vector<std::deque<DeferredInjection>> backlog_;  // Per node.
   std::function<void(StreamId, NodeId)> pressure_listener_;
   StreamTime last_health_ms_ = 0;
-  // Guards shed records + overload_stats_ (query threads read both while
-  // the feed thread writes); never held across DeliverBatch or the listener.
+  // Guards the shed records (query threads read them while the feed thread
+  // writes); never held across DeliverBatch or the listener.
   mutable std::mutex overload_mu_;
-  OverloadStats overload_stats_;
 
   // --- Observability (§5.8). ---
-  // Hot-path counter handles, resolved once at construction so an enabled
-  // registry costs one relaxed atomic add per event and a disabled one costs
-  // a null check. These are incremented at the event sites themselves —
-  // independently of OverloadStats / FaultStats / the shed ledger — which is
-  // what lets the differential harness cross-check registry vs. ledger.
-  struct ObsCounters {
-    obs::Counter* door_shed_tuples = nullptr;
-    obs::Counter* injector_shed_edges = nullptr;
-    obs::Counter* timing_edges_lost = nullptr;
-    obs::Counter* feed_rejections = nullptr;
-    obs::Counter* credit_stalls = nullptr;
-    obs::Counter* plan_stalls = nullptr;
-    obs::Counter* append_pressure_events = nullptr;
-    obs::Counter* backlog_deferred = nullptr;
-    obs::Counter* backlog_drained = nullptr;
-    obs::Counter* quarantines = nullptr;
-    obs::Counter* reactivations = nullptr;
-    obs::Counter* heartbeats = nullptr;
-    obs::Counter* batches_injected = nullptr;
-    obs::Counter* tuples_injected = nullptr;
-    obs::Counter* queries_oneshot = nullptr;
-    obs::Counter* queries_continuous = nullptr;
-    obs::Counter* fault_retries = nullptr;
-    obs::Counter* backoff_us = nullptr;
-    obs::Counter* batches_redelivered = nullptr;
-    obs::Counter* duplicates_suppressed = nullptr;
-    obs::Counter* crashes = nullptr;
-    obs::Counter* reroutes = nullptr;
-    obs::Counter* degraded_executions = nullptr;
-    obs::Counter* delta_hits = nullptr;
-    obs::Counter* delta_misses = nullptr;
-    obs::Counter* delta_invalidations = nullptr;
-    obs::Counter* delta_epoch_flushes = nullptr;
-    obs::Counter* delta_bypasses = nullptr;
-    obs::Counter* reconfig_moves_started = nullptr;
-    obs::Counter* reconfig_moves_committed = nullptr;
-    obs::Counter* reconfig_moves_aborted = nullptr;
-    obs::Counter* reconfig_edges_copied = nullptr;
-    obs::Counter* reconfig_dual_applied_edges = nullptr;
-    obs::Counter* reconfig_rehomed_registrations = nullptr;
-    obs::Counter* reconfig_stale_edges_purged = nullptr;
-    obs::Counter* hedge_issued = nullptr;
-    obs::Counter* hedge_wins = nullptr;
-    obs::Counter* hedge_cancelled = nullptr;
-    obs::Counter* hedge_duplicates_suppressed = nullptr;
-    obs::Counter* deadline_expired = nullptr;
-    obs::Counter* deadline_skipped_reads = nullptr;
-    obs::Counter* deadline_cancelled_steps = nullptr;
-    obs::Counter* straggler_demotions = nullptr;
-    obs::Counter* straggler_promotions = nullptr;
-    obs::Counter* mqo_grouped_registrations = nullptr;
-    obs::Counter* mqo_groups_formed = nullptr;
-    obs::Counter* mqo_groups_dissolved = nullptr;
-    obs::Counter* mqo_shared_evals = nullptr;
-    obs::Counter* mqo_fanout_served = nullptr;
-    obs::Counter* mqo_fallbacks = nullptr;
-    obs::Counter* replan_checks = nullptr;
-    obs::Counter* replan_drift_triggers = nullptr;
-    obs::Counter* replan_cutovers = nullptr;
-    obs::Counter* replan_parity_failures = nullptr;
-    obs::Counter* replan_budget_overruns = nullptr;
-    obs::Counter* replan_pins = nullptr;
-    obs::Counter* delta_plan_flushes = nullptr;
+  // Every cluster event counter, one registry name each (the table lives in
+  // the constructor). Each event is counted by exactly one statement, and
+  // the stats accessors (FaultStats, ReconfigStats, ReplanStats,
+  // OverloadStats, MqoStats) are views over these values — so the registry
+  // and the typed stats cannot drift. The differential harness cross-checks
+  // them against independent records instead: the shed ledger, the batch
+  // logger and its own counts.
+  enum class Ctr : size_t {
+    kDoorShedTuples, kInjectorShedEdges, kTimingEdgesLost, kFeedRejections,
+    kCreditStalls, kPlanStalls, kAppendPressureEvents, kBacklogDeferred,
+    kBacklogDrained, kQuarantines, kReactivations, kHeartbeats,
+    kBatchesInjected, kTuplesInjected, kQueriesOneShot, kQueriesContinuous,
+    // Execution read-path retries vs dispatcher delivery retries (drop
+    // retransmits + shipping retries): distinct events, distinct counters.
+    kFaultRetries, kFaultBackoffNs,
+    kDeliveryAttempts, kDeliveryRetries, kDeliveryExhausted, kDeliveryBackoffNs,
+    kBatchesRedelivered, kBatchesDelayed, kDuplicatesSuppressed, kCrashes,
+    kReroutes, kDegradedExecutions,
+    kDeltaHits, kDeltaMisses, kDeltaInvalidations, kDeltaEpochFlushes,
+    kDeltaBypasses, kDeltaPlanFlushes,
+    kMovesStarted, kMovesCommitted, kMovesAborted, kEdgesCopied,
+    kDualAppliedEdges, kBatchesReplayed, kNodesAdded, kDrainsStarted,
+    kRehomedRegistrations, kStaleEdgesPurged,
+    kHedgeIssued, kHedgeWins, kHedgeCancelled, kHedgeDuplicatesSuppressed,
+    kDeadlineExpired, kDeadlineSkippedReads, kDeadlineCancelledSteps,
+    kStragglerDemotions, kStragglerPromotions,
+    kMqoGroupedRegistrations, kMqoGroupsFormed, kMqoGroupsDissolved,
+    kMqoSharedEvals, kMqoFanoutServed, kMqoFallbacks,
+    kReplanChecks, kReplanDriftTriggers, kReplanCutovers,
+    kReplanParityFailures, kReplanBudgetOverruns, kReplanPins,
+    kCount
   };
-  ObsCounters obs_;
+  void Count(Ctr c, uint64_t n = 1) {
+    obs::Bump(counters_[static_cast<size_t>(c)], n);
+  }
+  uint64_t Value(Ctr c) const {
+    return counters_[static_cast<size_t>(c)]->value();
+  }
+
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // Iff none attached.
+  obs::MetricsRegistry* metrics_;  // config_.metrics or owned_metrics_.
+  std::array<obs::Counter*, static_cast<size_t>(Ctr::kCount)> counters_{};
   obs::Tracer* tracer_ = nullptr;  // config_.tracer, null when disabled.
 };
 

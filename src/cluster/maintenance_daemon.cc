@@ -6,12 +6,9 @@ MaintenanceDaemon::MaintenanceDaemon(Cluster* cluster, HorizonFn horizon,
                                      std::chrono::milliseconds period,
                                      testkit::ScheduleController* schedule)
     : cluster_(cluster), horizon_(std::move(horizon)), schedule_(schedule) {
-  if constexpr (obs::kCompiledIn) {
-    if (obs::MetricsRegistry* m = cluster_->config().metrics; m != nullptr) {
-      obs_passes_ = m->GetCounter("wukongs_maintenance_passes_total");
-      obs_kicks_ = m->GetCounter("wukongs_maintenance_kicks_total");
-    }
-  }
+  obs::MetricsRegistry* m = cluster_->metrics();
+  obs_passes_ = m->GetCounter("wukongs_maintenance_passes_total");
+  obs_kicks_ = m->GetCounter("wukongs_maintenance_kicks_total");
   thread_ = std::thread([this, period] { Loop(period); });
 }
 

@@ -55,7 +55,7 @@ class MaintenanceDaemon {
   testkit::ScheduleController* schedule_;
   std::atomic<size_t> passes_{0};
   std::atomic<size_t> kicks_{0};
-  // Resolved from the cluster's registry at construction; null = obs off.
+  // Resolved from Cluster::metrics() at construction (never null).
   obs::Counter* obs_passes_ = nullptr;
   obs::Counter* obs_kicks_ = nullptr;
   std::mutex mu_;

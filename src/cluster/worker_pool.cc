@@ -7,20 +7,14 @@ namespace wukongs {
 WorkerPool::WorkerPool(Cluster* cluster, uint32_t threads,
                        testkit::ScheduleController* schedule)
     : cluster_(cluster), schedule_(schedule) {
-  if constexpr (obs::kCompiledIn) {
-    if (obs::MetricsRegistry* m = cluster_->config().metrics; m != nullptr) {
-      obs_submitted_ = m->GetCounter("wukongs_pool_tasks_submitted_total");
-      obs_executed_ = m->GetCounter("wukongs_pool_tasks_executed_total");
-      obs_rejected_ = m->GetCounter("wukongs_query_rejections_total");
-      obs_rejected_concurrency_ =
-          m->GetCounter(obs::MetricsRegistry::Labeled(
-              "wukongs_query_rejections_by_reason_total",
-              {{"reason", "concurrency"}}));
-      obs_rejected_deadline_ = m->GetCounter(obs::MetricsRegistry::Labeled(
-          "wukongs_query_rejections_by_reason_total",
-          {{"reason", "deadline"}}));
-    }
-  }
+  obs::MetricsRegistry* m = cluster_->metrics();
+  obs_submitted_ = m->GetCounter("wukongs_pool_tasks_submitted_total");
+  obs_executed_ = m->GetCounter("wukongs_pool_tasks_executed_total");
+  obs_rejected_ = m->GetCounter("wukongs_query_rejections_total");
+  obs_rejected_concurrency_ = m->GetCounter(obs::MetricsRegistry::Labeled(
+      "wukongs_query_rejections_by_reason_total", {{"reason", "concurrency"}}));
+  obs_rejected_deadline_ = m->GetCounter(obs::MetricsRegistry::Labeled(
+      "wukongs_query_rejections_by_reason_total", {{"reason", "deadline"}}));
   workers_.reserve(std::max(threads, 1u));
   for (uint32_t t = 0; t < std::max(threads, 1u); ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });

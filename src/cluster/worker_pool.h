@@ -77,7 +77,7 @@ class WorkerPool {
   size_t in_flight_ = 0;
   bool stopping_ = false;
   std::atomic<size_t> executed_{0};
-  // Resolved from the cluster's registry at construction; null = obs off.
+  // Resolved from Cluster::metrics() at construction (never null).
   obs::Counter* obs_submitted_ = nullptr;
   obs::Counter* obs_executed_ = nullptr;
   obs::Counter* obs_rejected_ = nullptr;

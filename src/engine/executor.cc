@@ -20,12 +20,10 @@ const NeighborSource* SourceFor(const ExecContext& ctx, int graph) {
   return ctx.sources[idx];
 }
 
-// Per-stage executor span, inert when tracing is off or compiled out.
+// Per-stage executor span, inert when tracing is off.
 obs::Tracer::Span StageSpan(const ExecContext& ctx, const char* name) {
-  if constexpr (obs::kCompiledIn) {
-    if (ctx.tracer != nullptr) {
-      return ctx.tracer->StartSpan("exec", name, ctx.trace_node);
-    }
+  if (ctx.tracer != nullptr) {
+    return ctx.tracer->StartSpan("exec", name, ctx.trace_node);
   }
   return {};
 }

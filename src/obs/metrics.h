@@ -20,9 +20,11 @@
 //
 // Handles returned by GetCounter/GetGauge/GetHistogram are stable for the
 // registry's lifetime, so hot paths resolve them once at construction and pay
-// one atomic add per event thereafter. A null registry pointer is the runtime
-// kill switch: callers guard with `if (metrics_) ...` and the disabled cost is
-// a predictable not-taken branch.
+// one atomic add per event thereafter. A registry is also the single home of
+// the counts it holds: a Cluster keeps its event counters here (in the
+// registry attached through ClusterConfig::metrics, or in one it owns) and
+// its typed stats accessors read them back, so a counter and its stats field
+// can never disagree. Tracing (trace.h) is the only opt-in part of the layer.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
@@ -39,14 +41,6 @@
 #include "src/common/histogram.h"
 
 namespace wukongs::obs {
-
-// Compile-time kill switch: building with -DWUKONGS_OBS_DISABLED turns the
-// wiring sites into `if constexpr (false)` dead code the optimizer deletes.
-#ifdef WUKONGS_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 class Counter {
  public:
@@ -130,17 +124,11 @@ class MetricsRegistry {
 // fractional part, everything else with up to 9 significant digits.
 std::string FormatMetricValue(double v);
 
-// Hot-path increment for a pre-resolved handle: dead code when the layer is
-// compiled out, one predictable null check when no registry is attached.
-// Found by ADL on the Counter* argument, so wiring sites call it unqualified.
+// Hot-path increment for a pre-resolved (never null) handle. Found by ADL on
+// the Counter* argument, so wiring sites call it unqualified.
 inline void Bump(Counter* c, uint64_t n = 1) {
-  if constexpr (kCompiledIn) {
-    if (c != nullptr && n > 0) {
-      c->Add(n);
-    }
-  } else {
-    (void)c;
-    (void)n;
+  if (n > 0) {
+    c->Add(n);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/cluster/cluster.h"
 
@@ -186,6 +187,52 @@ TEST_F(ConcurrencyTest, MaintenanceRunsSafelyDuringQueries) {
   stop.store(true);
   maintenance.join();
   EXPECT_FALSE(failed.load());
+}
+
+// Degraded executions on worker threads: every one-shot whose home node has
+// crashed reroutes to a survivor, and the reroute/degraded counters are
+// bumped concurrently from all of them. Each increment must land exactly
+// once (no torn or lost updates), and a reader may take the stats view while
+// the workers run.
+TEST_F(ConcurrencyTest, RerouteCountIsExactUnderConcurrentOneShots) {
+  ASSERT_TRUE(cluster_->CrashNode(1).ok());
+  constexpr int kThreads = 4;
+  constexpr int kQueriesPerThread = 50;
+  std::atomic<bool> failed{false};
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      uint64_t now = cluster_->fault_stats().reroutes;
+      if (now < last) {
+        failed.store(true);
+      }
+      last = now;
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&] {
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        auto exec = cluster_->OneShot("SELECT ?U ?V WHERE { ?U fo ?V }",
+                                      /*home=*/1);
+        if (!exec.ok()) {
+          failed.store(true);
+          return;
+        }
+      }
+    });
+  }
+  for (auto& t : workers) {
+    t.join();
+  }
+  done.store(true);
+  reader.join();
+  ASSERT_FALSE(failed.load());
+  const Cluster::FaultStats stats = cluster_->fault_stats();
+  EXPECT_EQ(stats.reroutes,
+            static_cast<uint64_t>(kThreads) * kQueriesPerThread);
+  EXPECT_EQ(stats.crashes, 1u);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/fault/recovery_manager.h"
 #include "src/fault/upstream_buffer.h"
+#include "src/obs/metrics.h"
 #include "src/stream/checkpoint.h"
 
 namespace wukongs {
@@ -335,6 +336,90 @@ TEST_F(FaultRecoveryTest, NodeRestoreUpgradesDegradedWindows) {
     EXPECT_EQ(*got, want) << "query " << key.first << " window " << key.second;
     EXPECT_FALSE(dedup.IsPartial(key.first, key.second));
   }
+}
+
+// Retry accounting has one definition per counter (DESIGN.md §5.8): the
+// dispatcher's delivery retries (drop retransmits + failed shipping sends)
+// and the execution read-path retries are distinct events under distinct
+// names, and backoff accumulates in whole nanoseconds. Each counter is
+// checked against a record kept outside the cluster: the injector's own
+// fault tallies for delivery, the per-execution surface for queries.
+TEST_F(FaultRecoveryTest, RetryCountersMatchIndependentTallies) {
+  FaultSchedule schedule;
+  schedule.seed = 5;
+  schedule.batch_drop_rate = 0.2;
+  schedule.batch_delay_rate = 0.1;
+  schedule.message_failure_rate = 0.2;
+  schedule.read_failure_rate = 0.2;
+  FaultInjector injector(schedule);
+  obs::MetricsRegistry registry;
+  ClusterConfig config;
+  config.nodes = 3;
+  config.fault_injector = &injector;
+  config.metrics = &registry;
+  // Constant, sub-microsecond backoff: every retry charges exactly 1500 ns,
+  // so the ns counters are checked exactly (whole-microsecond truncation
+  // would lose a third of it).
+  config.retry.initial_backoff_ns = 1500.0;
+  config.retry.backoff_multiplier = 1.0;
+  Cluster cluster(config);
+  StringServer* strings = cluster.strings();
+  StreamId stream = *cluster.DefineStream("S", {"ga"});
+  cluster.LoadBase(BaseTriples(strings));
+  auto h = cluster.RegisterContinuous(kPointQuery, /*home=*/2);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  auto counter = [&](const char* name) {
+    return registry.GetCounter(name)->value();
+  };
+
+  // Ingest only: every injected message fault is a dispatcher shipping send.
+  for (StreamTime t = kStepMs; t <= kEndMs; t += kStepMs) {
+    ASSERT_TRUE(
+        cluster.FeedStream(stream, IntervalTuples(strings, t - kStepMs, t)).ok());
+    cluster.AdvanceStreams(t);
+  }
+  const FaultInjectorStats fired = injector.stats();
+  ASSERT_GT(fired.dropped_batches, 0u);
+  ASSERT_GT(fired.failed_messages, 0u);
+  const Cluster::FaultStats delivery = cluster.fault_stats();
+  EXPECT_EQ(delivery.batches_redelivered, fired.dropped_batches);
+  EXPECT_EQ(delivery.batches_delayed, fired.delayed_batches);
+  // Each delivery fault is either retried or (last attempt) escalated.
+  EXPECT_EQ(delivery.delivery_retry.retries + delivery.delivery_retry.exhausted,
+            fired.dropped_batches + fired.failed_messages);
+  EXPECT_EQ(delivery.delivery_retry.backoff_ns,
+            1500.0 * static_cast<double>(delivery.delivery_retry.retries));
+  EXPECT_EQ(counter("wukongs_delivery_retries_total"),
+            delivery.delivery_retry.retries);
+  EXPECT_EQ(counter("wukongs_delivery_backoff_ns_total"),
+            1500 * delivery.delivery_retry.retries);
+  EXPECT_EQ(counter("wukongs_batches_delayed_total"), fired.delayed_batches);
+  // No query ran yet: delivery retries never reach the execution counters.
+  EXPECT_EQ(counter("wukongs_fault_retries_total"), 0u);
+  EXPECT_EQ(counter("wukongs_fault_backoff_ns_total"), 0u);
+
+  // Queries only: selective in-place reads retry lost one-sided reads.
+  uint64_t exec_retries = 0;
+  double exec_backoff_ms = 0.0;
+  for (StreamTime t = kFirstWindowMs; t <= kEndMs; t += kStepMs) {
+    auto exec = cluster.ExecuteContinuousAt(*h, t);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    exec_retries += exec->fault_retries;
+    exec_backoff_ms += exec->backoff_ms;
+    auto one = cluster.OneShot("SELECT ?Y WHERE { user7 fo ?Y }", 1);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    exec_retries += one->fault_retries;
+    exec_backoff_ms += one->backoff_ms;
+  }
+  ASSERT_GT(exec_retries, 0u);
+  EXPECT_EQ(counter("wukongs_fault_retries_total"), exec_retries);
+  EXPECT_EQ(counter("wukongs_fault_backoff_ns_total"), 1500 * exec_retries);
+  EXPECT_NEAR(exec_backoff_ms * 1e6,
+              static_cast<double>(counter("wukongs_fault_backoff_ns_total")),
+              1e-3);
+  // And execution retries never reach the delivery view.
+  EXPECT_EQ(cluster.fault_stats().delivery_retry.retries,
+            delivery.delivery_retry.retries);
 }
 
 TEST(FaultInjectorTest, SameSeedSameSchedule) {

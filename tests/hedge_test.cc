@@ -177,12 +177,10 @@ TEST(DeadlineClusterTest, ForkJoinBudgetCancelsStepsButStaysSound) {
   EXPECT_TRUE(IsSubBag(CanonicalBag(budgeted->result), CanonicalBag(full->result)));
   // Budget beats cost: the expired run charged less modeled network time.
   EXPECT_LT(budgeted->net_ms, full->net_ms);
-  if constexpr (obs::kCompiledIn) {
-    EXPECT_GE(registry.GetCounter("wukongs_deadline_expired_total")->value(), 1u);
-    EXPECT_GE(
-        registry.GetCounter("wukongs_deadline_cancelled_steps_total")->value(),
-        1u);
-  }
+  EXPECT_GE(registry.GetCounter("wukongs_deadline_expired_total")->value(), 1u);
+  EXPECT_GE(
+      registry.GetCounter("wukongs_deadline_cancelled_steps_total")->value(),
+      1u);
 }
 
 TEST(DeadlineClusterTest, InPlaceBudgetSkipsRemoteReads) {
@@ -206,11 +204,9 @@ TEST(DeadlineClusterTest, InPlaceBudgetSkipsRemoteReads) {
   EXPECT_GE(budgeted->deadline_skipped_reads, 1u);
   EXPECT_LT(budgeted->completeness, 1.0);
   EXPECT_TRUE(IsSubBag(CanonicalBag(budgeted->result), CanonicalBag(full->result)));
-  if constexpr (obs::kCompiledIn) {
-    EXPECT_GE(
-        registry.GetCounter("wukongs_deadline_skipped_reads_total")->value(),
-        1u);
-  }
+  EXPECT_GE(
+      registry.GetCounter("wukongs_deadline_skipped_reads_total")->value(),
+      1u);
 }
 
 TEST(DeadlineClusterTest, DefaultBudgetAppliesWhenCallerPassesNone) {
@@ -329,22 +325,20 @@ TEST(DeadlineAdmissionTest, PoolSplitsRejectionCountersByReason) {
   auto accepted = pool.SubmitOneShot(*q, 0, 0.0).get();
   ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
   pool.Drain();
-  if constexpr (obs::kCompiledIn) {
-    EXPECT_EQ(registry.GetCounter("wukongs_query_rejections_total")->value(),
-              1u);
-    EXPECT_EQ(registry
-                  .GetCounter(obs::MetricsRegistry::Labeled(
-                      "wukongs_query_rejections_by_reason_total",
-                      {{"reason", "deadline"}}))
-                  ->value(),
-              1u);
-    EXPECT_EQ(registry
-                  .GetCounter(obs::MetricsRegistry::Labeled(
-                      "wukongs_query_rejections_by_reason_total",
-                      {{"reason", "concurrency"}}))
-                  ->value(),
-              0u);
-  }
+  EXPECT_EQ(registry.GetCounter("wukongs_query_rejections_total")->value(),
+            1u);
+  EXPECT_EQ(registry
+                .GetCounter(obs::MetricsRegistry::Labeled(
+                    "wukongs_query_rejections_by_reason_total",
+                    {{"reason", "deadline"}}))
+                ->value(),
+            1u);
+  EXPECT_EQ(registry
+                .GetCounter(obs::MetricsRegistry::Labeled(
+                    "wukongs_query_rejections_by_reason_total",
+                    {{"reason", "concurrency"}}))
+                ->value(),
+            0u);
 }
 
 // --- StragglerDetector unit behavior. ---
@@ -567,13 +561,11 @@ TEST(StragglerClusterTest, GrayWindowDemotesThenWindowEndPromotes) {
   }
   EXPECT_FALSE(cluster.StragglerSlow(1));
   EXPECT_GE(cluster.straggler_detector()->stats().promotions, 1u);
-  if constexpr (obs::kCompiledIn) {
-    EXPECT_GE(registry.GetCounter("wukongs_straggler_demotions_total")->value(),
-              1u);
-    EXPECT_GE(
-        registry.GetCounter("wukongs_straggler_promotions_total")->value(),
-        1u);
-  }
+  EXPECT_GE(registry.GetCounter("wukongs_straggler_demotions_total")->value(),
+            1u);
+  EXPECT_GE(
+      registry.GetCounter("wukongs_straggler_promotions_total")->value(),
+      1u);
 }
 
 TEST(StragglerClusterTest, LastHealthyFanoutMemberIsNeverDemoted) {
@@ -661,19 +653,17 @@ TEST(HedgeClusterTest, GrayNodeTriggersHedgesAndResultsStayExact) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   EXPECT_EQ(CanonicalBag(exec->result), CanonicalBag(reference->result));
 
-  if constexpr (obs::kCompiledIn) {
-    uint64_t issued = registry.GetCounter("wukongs_hedge_issued_total")->value();
-    EXPECT_EQ(issued, exec->hedges_issued);
-    // Exactly-once: every hedge produced one losing response, every loser
-    // was cancelled and suppressed by the dedup gate.
-    EXPECT_EQ(registry.GetCounter("wukongs_hedge_cancelled_total")->value(),
-              issued);
-    EXPECT_EQ(
-        registry.GetCounter("wukongs_hedge_duplicates_suppressed_total")->value(),
-        issued);
-    EXPECT_LE(registry.GetCounter("wukongs_hedge_backup_wins_total")->value(),
-              issued);
-  }
+  uint64_t issued = registry.GetCounter("wukongs_hedge_issued_total")->value();
+  EXPECT_EQ(issued, exec->hedges_issued);
+  // Exactly-once: every hedge produced one losing response, every loser
+  // was cancelled and suppressed by the dedup gate.
+  EXPECT_EQ(registry.GetCounter("wukongs_hedge_cancelled_total")->value(),
+            issued);
+  EXPECT_EQ(
+      registry.GetCounter("wukongs_hedge_duplicates_suppressed_total")->value(),
+      issued);
+  EXPECT_LE(registry.GetCounter("wukongs_hedge_backup_wins_total")->value(),
+            issued);
 }
 
 TEST(HedgeClusterTest, HedgingNeedsASpreadBetweenBestAndWorst) {
@@ -899,11 +889,9 @@ SeedOutcome RunStragglerSeed(uint64_t seed) {
   }
 
   // Exactly-once audit: every hedge's losing response was suppressed.
-  if constexpr (obs::kCompiledIn) {
-    EXPECT_EQ(
-        registry.GetCounter("wukongs_hedge_duplicates_suppressed_total")->value(),
-        registry.GetCounter("wukongs_hedge_issued_total")->value());
-  }
+  EXPECT_EQ(
+      registry.GetCounter("wukongs_hedge_duplicates_suppressed_total")->value(),
+      registry.GetCounter("wukongs_hedge_issued_total")->value());
   return outcome;
 }
 

@@ -238,9 +238,7 @@ class MqoClusterTest : public ::testing::Test {
     config.nodes = nodes;
     config.batch_interval_ms = kIntervalMs;
     config.mqo.enabled = mqo_enabled;
-    if constexpr (obs::kCompiledIn) {
-      config.metrics = &registry_;
-    }
+    config.metrics = &registry_;
     cluster_ = std::make_unique<Cluster>(config);
     stream_ = *cluster_->DefineStream("S", {"at"});
 
@@ -349,12 +347,10 @@ TEST_F(MqoClusterTest, SharedEvalOncePerTriggerAndFanoutMatchesCold) {
   stats = cluster_->mqo_stats();
   EXPECT_EQ(stats.shared_evals, 2u);
   EXPECT_EQ(stats.fanout_served, 4u);
-  if constexpr (obs::kCompiledIn) {
-    EXPECT_EQ(registry_.GetCounter("wukongs_mqo_shared_evals_total")->value(),
-              2u);
-    EXPECT_EQ(registry_.GetCounter("wukongs_mqo_fanout_served_total")->value(),
-              4u);
-  }
+  EXPECT_EQ(registry_.GetCounter("wukongs_mqo_shared_evals_total")->value(),
+            2u);
+  EXPECT_EQ(registry_.GetCounter("wukongs_mqo_fanout_served_total")->value(),
+            4u);
 }
 
 TEST_F(MqoClusterTest, ColumnarSharedEvalFanoutMatchesCold) {

@@ -141,9 +141,6 @@ WorkloadOutput RunSeededWorkload(bool with_obs) {
 }
 
 TEST(ObsDeterminismTest, SameWorkloadYieldsByteIdenticalTraceAndMetrics) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DWUKONGS_OBS=OFF)";
-  }
   WorkloadOutput first = RunSeededWorkload(/*with_obs=*/true);
   WorkloadOutput second = RunSeededWorkload(/*with_obs=*/true);
 
@@ -174,9 +171,6 @@ TEST(ObsDeterminismTest, SameWorkloadYieldsByteIdenticalTraceAndMetrics) {
 }
 
 TEST(ObsDeterminismTest, PlantedSpanReorderIsCaughtByDigest) {
-  if (!obs::kCompiledIn) {
-    GTEST_SKIP() << "observability compiled out (-DWUKONGS_OBS=OFF)";
-  }
   WorkloadOutput clean = RunSeededWorkload(/*with_obs=*/true);
   WorkloadOutput mutated;
   {
