@@ -105,10 +105,9 @@ LsBenchConfig GateConfig() {
 // (Content chains like po/ht are useless here: streamed posts persist, so
 // their observed stored fan-outs grow with the rate and never rank below the
 // window.) The result is empty under both plans — the shadow parity check
-// still has to prove that. The LIMIT keeps the registration delta-
-// ineligible: it re-executes cold every trigger, which is exactly the regime
-// where plan quality is paid in full (the delta cache would otherwise
-// amortize the stored prefix and mask the cliff).
+// still has to prove that. Every trigger re-executes its full window, which
+// is exactly the regime where plan quality is paid in full. (The LIMIT never
+// binds.)
 std::string CliffQuery(size_t users) {
   const std::string user = "User" + std::to_string(users - 1);
   return "REGISTER QUERY RATE_CLIFF AS SELECT ?F ?X ?A\n"

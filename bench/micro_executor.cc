@@ -180,8 +180,7 @@ QueryResult MustRun(const Query& q, const std::vector<int>& plan,
 }
 
 // Patterns + FILTERs into the binding table: what a continuous query re-runs
-// per window trigger (delta recompute unions cached chunks with freshly
-// recomputed ones before a single projection). Aborts if the run fails.
+// per window trigger before its single projection. Aborts if the run fails.
 double RecomputeOnce(const Query& q, const std::vector<int>& plan,
                      const ExecContext& ctx) {
   Stopwatch wall;

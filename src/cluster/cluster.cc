@@ -113,12 +113,6 @@ Cluster::Cluster(const ClusterConfig& config, StringServer* shared_strings)
       {Ctr::kCrashes, "wukongs_crashes_total"},
       {Ctr::kReroutes, "wukongs_reroutes_total"},
       {Ctr::kDegradedExecutions, "wukongs_degraded_executions_total"},
-      {Ctr::kDeltaHits, "wukongs_delta_cache_hits_total"},
-      {Ctr::kDeltaMisses, "wukongs_delta_cache_misses_total"},
-      {Ctr::kDeltaInvalidations, "wukongs_delta_cache_invalidations_total"},
-      {Ctr::kDeltaEpochFlushes, "wukongs_delta_cache_epoch_flushes_total"},
-      {Ctr::kDeltaBypasses, "wukongs_delta_cache_bypasses_total"},
-      {Ctr::kDeltaPlanFlushes, "wukongs_delta_cache_plan_flushes_total"},
       {Ctr::kMovesStarted, "wukongs_reconfig_moves_started_total"},
       {Ctr::kMovesCommitted, "wukongs_reconfig_moves_committed_total"},
       {Ctr::kMovesAborted, "wukongs_reconfig_moves_aborted_total"},
@@ -208,37 +202,17 @@ StatusOr<StreamId> Cluster::DefineStream(
   }
   coordinator_->RegisterStream(id);
   delivered_next_.push_back(0);
-  injected_window_edges_.emplace_back(config_.nodes, 0);
-  {
-    std::lock_guard lock(delta_mu_);
-    delta_caches_by_stream_.emplace_back();
-  }
   return id;
 }
 
 void Cluster::WireEvictionListeners(StreamId stream, NodeId node) {
-  // GC invalidation hooks (§5.9): when a slice is reclaimed on any node, the
-  // delta caches fed by this stream must retire the contributions that were
-  // (partly) sourced from it.
-  auto hook = [this, stream](BatchSeq min_live) {
-    NotifySliceEviction(stream, min_live);
-  };
+  // GC invalidation hooks: a slice reclaimed on any node changes what a
+  // window read returns, so every template-group memo built before it is
+  // stale. Maintenance passes bump the generation themselves; the hooks
+  // also cover the ring-buffer GC a full transient store runs at append.
+  auto hook = [this] { BumpMqoGeneration(); };
   transients_raw_[stream][node]->SetEvictionListener(hook);
   stream_indexes_raw_[stream][node]->SetEvictionListener(hook);
-}
-
-void Cluster::NotifySliceEviction(StreamId stream, BatchSeq min_live) {
-  std::vector<DeltaCache*> caches;
-  {
-    std::lock_guard lock(delta_mu_);
-    if (stream < delta_caches_by_stream_.size()) {
-      caches = delta_caches_by_stream_[stream];
-    }
-  }
-  for (DeltaCache* cache : caches) {
-    Count(Ctr::kDeltaInvalidations, cache->InvalidateBelow(min_live));
-  }
-  BumpMqoGeneration();
 }
 
 uint64_t Cluster::StoredEpoch(SnapshotNum sn) const {
@@ -573,7 +547,6 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
     if (!filtered && !backlog_[n].empty()) {
       DrainBacklog(n);  // FIFO: parked batches land before this one.
     }
-    injected_window_edges_[batch.stream][n] += tuple_count;
     {
       auto persist_span = TraceSpan(
           timeless[n].empty() ? nullptr : batch_tracer, "ingest",
@@ -658,7 +631,6 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
       if (!mig_timing.empty()) {
         transients_raw_[batch.stream][target]->MergeSlice(batch.seq, mig_timing);
       }
-      injected_window_edges_[batch.stream][target] += mig_edges;
       migration_->edges_copied += mig_edges;
       Count(Ctr::kDualAppliedEdges, mig_edges);
     }
@@ -736,7 +708,6 @@ void Cluster::DrainBacklog(NodeId n) {
     // Catching up is not free: each parked batch charges the recovering
     // node's modeled apply delay.
     SimCost::Add(delay_ns);
-    injected_window_edges_[d.stream][n] += d.timeless.size() + d.timing.size();
     std::vector<AppendSpan> spans;
     if (!d.timeless.empty()) {
       NoteStoredAppend(d.sn);
@@ -1315,8 +1286,13 @@ StatusOr<QueryExecution> Cluster::RunQuery(const Query& q,
       FaultInjector* inj = config_.fault_injector;
       if (inj != nullptr && inj->FailMessage(home, home)) {
         // Lost scatter/migration round: the join barrier times out waiting
-        // for the straggler, then the round is retransmitted.
-        SimCost::Add(config_.retry.BackoffNs(1) + round);
+        // for the straggler, then the round is retransmitted — one retry.
+        const double wait = config_.retry.BackoffNs(1);
+        SimCost::Add(wait + round);
+        if (degrade != nullptr) {
+          ++degrade->retry.retries;
+          degrade->retry.backoff_ns += wait;
+        }
       }
     };
   }
@@ -1389,125 +1365,6 @@ StatusOr<QueryExecution> Cluster::RunQuery(const Query& q,
     Count(Ctr::kHedgeDuplicatesSuppressed, dedup.duplicates());
     assert(dedup.mismatches() == 0);
   }
-  return exec;
-}
-
-StatusOr<QueryExecution> Cluster::RunQueryDelta(Registration& reg,
-                                                const PlanState& plan,
-                                                StreamTime end_ms, NodeId home,
-                                                DegradeState* degrade,
-                                                bool* used) {
-  *used = false;
-  const Query& q = reg.query;
-  const size_t dw = static_cast<size_t>(reg.delta_window);
-  StreamId sid = reg.stream_ids[dw];
-  BatchRange range = WindowBatches(end_ms, q.windows[dw].range_ms,
-                                   config_.batch_interval_ms);
-  if (range.empty) {
-    return QueryExecution{};  // Nothing to slice; cold path handles it.
-  }
-
-  // Position of the window pattern inside this trigger's plan snapshot.
-  size_t window_pos = 0;
-  for (size_t i = 0; i < plan.order.size(); ++i) {
-    if (q.patterns[static_cast<size_t>(plan.order[i])].graph != kGraphStored) {
-      window_pos = i;
-      break;
-    }
-  }
-
-  // Read before the context pins its snapshot: a snapshot that moves in
-  // between costs a spurious flush at the next trigger, never a stale hit.
-  const uint64_t stored_epoch = StoredEpoch(coordinator_->StableSn());
-  std::vector<std::unique_ptr<NeighborSource>> holders;
-  auto ctx = BuildContext(reg, end_ms, ChargePolicy::kInPlace, home, &holders,
-                          degrade);
-  if (!ctx.ok()) {
-    return ctx.status();
-  }
-
-  double sim_before = SimCost::TotalNs();
-  Stopwatch wall;
-  if (tracer_ != nullptr) {
-    tracer_->Instant("query", "query/dispatch", home);
-  }
-  auto exec_span = TraceSpan(tracer_, "query", "query/execute", home);
-  exec_span.Arg("mode", std::string("delta"))
-      .Arg("patterns", static_cast<uint64_t>(plan.order.size()));
-
-  // Trigger delta derived from Stable_VTS advancement: the batches that
-  // became stable since the previous delta trigger are the only candidates
-  // for fresh evaluation (the cache holds the rest of the window).
-  BatchSeq prev = reg.last_stable->load(std::memory_order_relaxed);
-  BatchRange advance = coordinator_->StableAdvanceSince(sid, prev);
-  if (!advance.empty) {
-    reg.last_stable->store(advance.hi, std::memory_order_relaxed);
-    exec_span.Arg("stable_advance",
-                  static_cast<uint64_t>(advance.hi - advance.lo + 1));
-  }
-
-  DeltaCache* cache = reg.delta_cache.get();
-  DeltaCache::Stats before = cache->stats();
-  cache->BeginTrigger(stored_epoch, range.lo, range.hi);
-  DeltaCache::Stats after = cache->stats();
-  Count(Ctr::kDeltaInvalidations, after.invalidations - before.invalidations);
-  Count(Ctr::kDeltaEpochFlushes, after.epoch_flushes - before.epoch_flushes);
-
-  DeltaSpec spec;
-  spec.cache = cache;
-  spec.window_pos = window_pos;
-  spec.batches.reserve(static_cast<size_t>(range.hi - range.lo + 1));
-  for (BatchSeq b = range.lo; b <= range.hi; ++b) {
-    spec.batches.push_back(b);
-  }
-  // Per-slice views of the window's stream, created lazily: only slices the
-  // cache does not hold are ever read.
-  std::vector<std::unique_ptr<NeighborSource>> slice_holders;
-  const auto slice_view = shard_map_.View();
-  spec.slice_source = [&](BatchSeq b) -> const NeighborSource* {
-    slice_holders.push_back(std::make_unique<WindowSource>(
-        stores_raw_, stream_indexes_raw_[sid], transients_raw_[sid],
-        fabric_.get(), home, BatchRange{b, b, false}, ChargePolicy::kInPlace,
-        config_.locality_aware_index, &config_.retry, degrade, slice_view));
-    return slice_holders.back().get();
-  };
-
-  auto delta = ExecuteDeltaPatterns(q, plan.order, *ctx, spec);
-  if (!delta.ok()) {
-    return delta.status();
-  }
-  Count(Ctr::kDeltaHits, delta->slices_cached);
-  Count(Ctr::kDeltaMisses, delta->slices_fresh);
-  if (delta->fallback) {
-    return QueryExecution{};  // Caller re-runs cold (*used stays false).
-  }
-
-  auto result = ProjectResult(q, *ctx, delta->table);
-  if (!result.ok()) {
-    return result.status();
-  }
-  Status fin = FinalizeSolution(q, *ctx, &result.value());
-  if (!fin.ok()) {
-    return fin;
-  }
-  double cpu_ns = wall.ElapsedNs();
-  exec_span.Arg("rows", static_cast<uint64_t>(result->rows.size()))
-      .Arg("cached", delta->slices_cached)
-      .Arg("fresh", delta->slices_fresh);
-  exec_span.End();
-  double net_ns = SimCost::TotalNs() - sim_before;
-
-  *used = true;
-  QueryExecution exec;
-  exec.result = std::move(*result);
-  exec.cpu_ms = cpu_ns / 1e6;
-  exec.net_ms = net_ns / 1e6;
-  exec.fork_join = false;
-  exec.snapshot = coordinator_->StableSn();
-  exec.ownership_epoch = shard_map_.epoch();
-  exec.delta = true;
-  exec.delta_slices_cached = delta->slices_cached;
-  exec.delta_slices_fresh = delta->slices_fresh;
   return exec;
 }
 
@@ -1696,40 +1553,12 @@ StatusOr<Cluster::ContinuousHandle> Cluster::RegisterContinuousParsed(const Quer
     // where the query runs, from now on (Fig. 9).
     streams_[*sid].subscribers.insert(reg.home);
   }
-  AttachDeltaCache(reg);
   registrations_.push_back(std::move(reg));
-  Registration& stored = registrations_.back();
-  if (stored.delta_cache != nullptr) {
-    std::lock_guard lock(delta_mu_);
-    StreamId sid = stored.stream_ids[static_cast<size_t>(stored.delta_window)];
-    delta_caches_by_stream_[sid].push_back(stored.delta_cache.get());
-  }
   ContinuousHandle h = static_cast<ContinuousHandle>(registrations_.size() - 1);
   if (config_.mqo.enabled) {
     AddToTemplateGroup(h);
   }
   return h;
-}
-
-void Cluster::AttachDeltaCache(Registration& reg) {
-  if (!config_.delta_cache_enabled) {
-    return;
-  }
-  int dw = DeltaEligibleWindow(reg.query);
-  if (dw >= 0) {
-    reg.delta_window = dw;
-    reg.delta_cache = std::make_unique<DeltaCache>();
-    reg.last_stable = std::make_unique<std::atomic<BatchSeq>>(kNoBatch);
-  }
-}
-
-void Cluster::DetachDeltaCache(Registration& reg) {
-  if (reg.delta_cache == nullptr) {
-    return;
-  }
-  std::lock_guard lock(delta_mu_);
-  StreamId sid = reg.stream_ids[static_cast<size_t>(reg.delta_window)];
-  std::erase(delta_caches_by_stream_[sid], reg.delta_cache.get());
 }
 
 void Cluster::AddToTemplateGroup(ContinuousHandle h) {
@@ -1751,16 +1580,6 @@ void Cluster::AddToTemplateGroup(ContinuousHandle h) {
     g.probe.query = std::move(sig.probe);
     g.probe.home = reg.home;
     g.probe.stream_ids = reg.stream_ids;
-    // Per-group delta cache: one cached stored-prefix serves the whole
-    // group. Indexed by stream like any member cache, so eviction listeners,
-    // crash flushes and the stored-epoch gate all reach it.
-    AttachDeltaCache(g.probe);
-    if (g.probe.delta_cache != nullptr) {
-      std::lock_guard dlock(delta_mu_);
-      StreamId sid =
-          g.probe.stream_ids[static_cast<size_t>(g.probe.delta_window)];
-      delta_caches_by_stream_[sid].push_back(g.probe.delta_cache.get());
-    }
     idx = groups_.size();
     group_index_.emplace(g.key, idx);
     groups_.push_back(std::move(owned));
@@ -1794,7 +1613,6 @@ void Cluster::RemoveFromTemplateGroup(ContinuousHandle h) {
       // Last member out dissolves the group; its key can re-form a fresh
       // group later (indices are never reused, handles stay stable).
       g.live = false;
-      DetachDeltaCache(g.probe);
       group_index_.erase(g.key);
       Count(Ctr::kMqoGroupsDissolved);
     }
@@ -1812,7 +1630,6 @@ Status Cluster::UnregisterContinuous(ContinuousHandle h) {
     return Status::NotFound("continuous query handle already unregistered");
   }
   reg.active = false;
-  DetachDeltaCache(reg);
   if (test_hooks::stale_group_membership.load(std::memory_order_relaxed)) {
     return Status::Ok();  // Planted defect: group membership never shrinks.
   }
@@ -1860,68 +1677,8 @@ size_t Cluster::MqoLiveGroups() const {
   return live;
 }
 
-bool Cluster::MqoGroupHasDeltaCache(ContinuousHandle h) const {
-  int g = MqoGroupOf(h);
-  if (g < 0) {
-    return false;
-  }
-  std::lock_guard lock(mqo_mu_);
-  return groups_[static_cast<size_t>(g)]->probe.delta_cache != nullptr;
-}
-
-int Cluster::DeltaEligibleWindow(const Query& q) {
-  // Per-slice decomposition (§5.9) is exact only when a single pattern reads
-  // window data: with two window patterns a binding can join batch b1 data
-  // against batch b2 data, which no per-slice contribution represents.
-  if (!q.unions.empty() || q.limit != 0) {
-    return -1;  // UNION branches plan separately; LIMIT makes order observable.
-  }
-  int window = -1;
-  for (const TriplePattern& p : q.patterns) {
-    if (p.graph == kGraphStored) {
-      continue;
-    }
-    if (window >= 0) {
-      return -1;
-    }
-    window = p.graph;
-  }
-  if (window < 0) {
-    return -1;  // No window pattern: nothing to cache per slice.
-  }
-  for (const auto& group : q.optionals) {
-    for (const TriplePattern& p : group) {
-      if (p.graph != kGraphStored) {
-        return -1;  // OPTIONAL joins window data per row; not decomposable.
-      }
-    }
-  }
-  if (q.windows[static_cast<size_t>(window)].absolute) {
-    return -1;  // Absolute scopes never slide; the one-shot path serves them.
-  }
-  return window;
-}
-
 const Query& Cluster::ContinuousQueryOf(ContinuousHandle h) const {
   return registrations_[h].query;
-}
-
-bool Cluster::HasDeltaCache(ContinuousHandle h) const {
-  return h < registrations_.size() && registrations_[h].delta_cache != nullptr;
-}
-
-DeltaCache::Stats Cluster::DeltaStatsOf(ContinuousHandle h) const {
-  if (!HasDeltaCache(h)) {
-    return {};
-  }
-  return registrations_[h].delta_cache->stats();
-}
-
-size_t Cluster::DeltaEntryCountOf(ContinuousHandle h) const {
-  if (!HasDeltaCache(h)) {
-    return 0;
-  }
-  return registrations_[h].delta_cache->EntryCount();
 }
 
 bool Cluster::WindowReady(ContinuousHandle h, StreamTime end_ms) const {
@@ -1944,19 +1701,19 @@ bool Cluster::WindowReady(ContinuousHandle h, StreamTime end_ms) const {
 StatusOr<QueryExecution> Cluster::ExecuteContinuousAt(ContinuousHandle h,
                                                       StreamTime end_ms,
                                                       double deadline_ms) {
-  return ExecuteContinuousImpl(h, end_ms, /*allow_delta=*/true, /*count=*/true,
+  return ExecuteContinuousImpl(h, end_ms, /*production=*/true, /*count=*/true,
                                deadline_ms);
 }
 
 StatusOr<QueryExecution> Cluster::ExecuteContinuousColdAt(ContinuousHandle h,
                                                           StreamTime end_ms) {
-  return ExecuteContinuousImpl(h, end_ms, /*allow_delta=*/false,
+  return ExecuteContinuousImpl(h, end_ms, /*production=*/false,
                                /*count=*/false);
 }
 
 StatusOr<QueryExecution> Cluster::ExecuteContinuousImpl(ContinuousHandle h,
                                                         StreamTime end_ms,
-                                                        bool allow_delta,
+                                                        bool production,
                                                         bool count,
                                                         double deadline_ms) {
   if (h >= registrations_.size()) {
@@ -1989,10 +1746,9 @@ StatusOr<QueryExecution> Cluster::ExecuteContinuousImpl(ContinuousHandle h,
   }
 
   // Template-group dispatch (§5.12): serve the trigger from the group's
-  // shared probe evaluation. Cold re-execution (allow_delta=false) bypasses
-  // grouping the same way it bypasses the delta cache — it is the
-  // differential harness's independent baseline.
-  if (allow_delta && config_.mqo.enabled && reg.group >= 0) {
+  // shared probe evaluation. Cold re-execution (production=false) bypasses
+  // grouping — it is the differential harness's independent baseline.
+  if (production && config_.mqo.enabled && reg.group >= 0) {
     auto grouped = TryExecuteGrouped(reg, end_ms);
     if (grouped.has_value()) {
       if (grouped->ok()) {
@@ -2006,12 +1762,12 @@ StatusOr<QueryExecution> Cluster::ExecuteContinuousImpl(ContinuousHandle h,
       return std::move(*grouped);
     }
   }
-  return ExecuteRegistrationAt(reg, end_ms, allow_delta, count);
+  return ExecuteRegistrationAt(reg, end_ms, production, count);
 }
 
 StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
                                                         StreamTime end_ms,
-                                                        bool allow_delta,
+                                                        bool production,
                                                         bool count) {
   // Degradation reroute: a registration whose home node is down executes on
   // the first surviving node instead of crashing.
@@ -2021,8 +1777,6 @@ StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
 
   // Plan once, at the first triggered execution (stored-procedure style),
   // and once more when a plan made on partly filled windows sees them full.
-  // An attached delta cache biases toward stored-prefix-first plans so the
-  // cached prefix and per-slice contributions stay reusable (§5.9).
   std::shared_ptr<const PlanState> plan = EnsurePlanned(reg, end_ms, home);
   if (plan == nullptr || plan->order.size() != reg.query.patterns.size()) {
     return Status::Internal("continuous query has no cached plan");
@@ -2031,7 +1785,7 @@ StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
   // statistics snapshot against live collector state and cut over to a
   // re-synthesized plan behind the shadow parity gate. Skipped on a degraded
   // cluster — a reroute is the wrong moment to judge plan quality.
-  if (config_.replan.enabled && !degraded && allow_delta) {
+  if (config_.replan.enabled && !degraded && production) {
     MaybeReplan(reg, end_ms, home);
     std::lock_guard lock(*reg.plan_mu);
     plan = reg.plan;
@@ -2039,34 +1793,6 @@ StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
   bool selective = plan->selective;
   bool fork_join = config_.force_fork_join ||
                    ((!selective || degraded) && !config_.force_in_place);
-
-  // Delta gate: eligible registration triggering in-place on a healthy,
-  // fault-free cluster. Everything else takes the cold path (and an eligible
-  // trigger that could not run as a delta counts as a bypass).
-  if (allow_delta && reg.delta_cache != nullptr && !fork_join && !degraded &&
-      config_.fault_injector == nullptr) {
-    bool used = false;
-    auto exec = RunQueryDelta(reg, *plan, end_ms, home, &degrade, &used);
-    if (!exec.ok()) {
-      return exec.status();
-    }
-    if (used) {
-      exec->window_end_ms = end_ms;
-      ApplyDegrade(degrade, &exec.value());
-      ApplyWindowLoss(reg, end_ms, &exec.value());
-      if (count) {
-        Count(Ctr::kQueriesContinuous);
-      }
-      if (tracer_ != nullptr) {
-        tracer_->Instant("query", "query/deliver", home);
-      }
-      return exec;
-    }
-    Count(Ctr::kDeltaBypasses);
-    degrade = DegradeState{};
-  } else if (allow_delta && reg.delta_cache != nullptr) {
-    Count(Ctr::kDeltaBypasses);
-  }
 
   std::vector<std::unique_ptr<NeighborSource>> holders;
   auto ctx = BuildContext(reg, end_ms,
@@ -2076,9 +1802,9 @@ StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
     return ctx.status();
   }
   // Production triggers train the fan-out EWMA; cold oracle re-executions
-  // (allow_delta=false) must not — observing them would let parity checks
-  // themselves perturb future plans.
-  if (config_.replan.enabled && allow_delta) {
+  // must not — observing them would let parity checks themselves perturb
+  // future plans.
+  if (config_.replan.enabled && production) {
     ctx->observe = MakeExpansionObserver(reg);
   }
   auto exec = RunQuery(reg.query, plan->order, *ctx, home, fork_join,
@@ -2102,15 +1828,6 @@ StatusOr<QueryExecution> Cluster::ExecuteRegistrationAt(Registration& reg,
 PlanHints Cluster::HintsFor(const Registration& reg,
                             const StreamStatsSnapshot* stats) const {
   PlanHints hints;
-  // The delta path serves in-place triggers only. A query with no constant
-  // in any pattern plans non-selective and runs fork-join, so the
-  // cache-friendly bias would only buy it a worse join order.
-  bool anchored = false;
-  for (const TriplePattern& p : reg.query.patterns) {
-    anchored = anchored || !p.subject.is_var() || !p.object.is_var();
-  }
-  hints.delta_cache = reg.delta_cache != nullptr && !config_.force_fork_join &&
-                      (anchored || config_.force_in_place);
   hints.stats = stats;
   if (stats != nullptr) {
     hints.window_scope.reserve(reg.stream_ids.size());
@@ -2187,7 +1904,7 @@ std::shared_ptr<const Cluster::PlanState> Cluster::EnsurePlanned(
   // The provisional plan's windows have filled. A new order is the next
   // version and goes through the same parity gate and re-keying as an
   // adaptive cutover. The same order, or one the gate turned down, stays as
-  // it is, with its version and whatever the delta cache and MQO memos hold.
+  // it is, with its version and whatever the MQO memos hold.
   // Either way the plan is final now.
   if (state->order != current->order) {
     state->version = current->version + 1;
@@ -2208,7 +1925,6 @@ std::shared_ptr<const Cluster::PlanState> Cluster::EnsurePlanned(
 bool Cluster::InstallPlan(Registration& reg,
                           std::shared_ptr<const PlanState> next, bool rekey,
                           const PlanState* expected) {
-  const uint64_t version = next->version;
   {
     std::lock_guard lock(*reg.plan_mu);
     if (expected != nullptr && reg.plan.get() != expected) {
@@ -2219,16 +1935,8 @@ bool Cluster::InstallPlan(Registration& reg,
   if (!rekey) {
     return true;
   }
-  // Coherence: delta-cache prefixes/contributions and MQO memos were built
-  // under the old plan's pattern order; both must be retired before the new
-  // plan serves a trigger, or stale state flows into live results.
-  if (reg.delta_cache != nullptr) {
-    const DeltaCache::Stats before = reg.delta_cache->stats();
-    reg.delta_cache->SetPlanVersion(version);
-    const DeltaCache::Stats after = reg.delta_cache->stats();
-    Count(Ctr::kDeltaPlanFlushes, after.plan_flushes - before.plan_flushes);
-    Count(Ctr::kDeltaInvalidations, after.invalidations - before.invalidations);
-  }
+  // Coherence: MQO memos were built under the old plan's pattern order and
+  // must be retired before the new plan serves a trigger.
   BumpMqoGeneration();
   return true;
 }
@@ -2460,7 +2168,7 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
         g->memo_stored_epoch == stored && g->memo_snapshot == sn &&
         g->memo_ownership_epoch == epoch && g->memo_gen == gen)) {
     g->memo_valid = false;
-    auto shared = ExecuteRegistrationAt(g->probe, end_ms, /*allow_delta=*/true,
+    auto shared = ExecuteRegistrationAt(g->probe, end_ms, /*production=*/true,
                                         /*count=*/false);
     Count(Ctr::kMqoSharedEvals);
     if (!shared.ok() || shared->partial || shared->deadline_expired ||
@@ -2542,9 +2250,6 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
     out.backoff_ms = g->memo_exec.backoff_ms;
     out.hedges_issued = g->memo_exec.hedges_issued;
     out.hedges_won = g->memo_exec.hedges_won;
-    out.delta = g->memo_exec.delta;
-    out.delta_slices_cached = g->memo_exec.delta_slices_cached;
-    out.delta_slices_fresh = g->memo_exec.delta_slices_fresh;
   } else {
     Count(Ctr::kMqoFanoutServed);
   }
@@ -2719,26 +2424,6 @@ Status Cluster::CrashNode(NodeId node) {
         std::make_unique<TransientStore>(config_.transient_budget_bytes);
     transients_raw_[s][node] = transients_[s][node].get();
     WireEvictionListeners(static_cast<StreamId>(s), node);
-  }
-  // Scoped delta flush: only caches of streams whose *window data* actually
-  // touched the crashed node lost summarized slices (the epoch sum alone
-  // could coincide across the reset, so those flush explicitly). A stream
-  // that never landed an edge on this node keeps its caches warm; stored-
-  // graph staleness is covered by the StoredEpoch guard in BeginTrigger.
-  {
-    std::lock_guard lock(delta_mu_);
-    for (size_t s = 0; s < delta_caches_by_stream_.size(); ++s) {
-      if (s >= injected_window_edges_.size() ||
-          injected_window_edges_[s][node] == 0) {
-        continue;
-      }
-      for (DeltaCache* cache : delta_caches_by_stream_[s]) {
-        Count(Ctr::kDeltaInvalidations, cache->InvalidateAll());
-      }
-    }
-  }
-  for (auto& per_node : injected_window_edges_) {
-    per_node[node] = 0;  // The restore replay re-counts from scratch.
   }
   Count(Ctr::kCrashes);
   BumpMqoGeneration();
@@ -3015,7 +2700,6 @@ Status Cluster::ReplayBatchForShard(const StreamBatch& batch) {
   }
   if (edges > 0) {
     fabric_->Message(mig.source, mig.target, edges * kTupleWireBytes);
-    injected_window_edges_[batch.stream][mig.target] += edges;
   }
   mig.edges_copied += edges;
   Count(Ctr::kBatchesReplayed);
@@ -3137,7 +2821,6 @@ StatusOr<NodeId> Cluster::AddNode() {
         std::make_unique<TransientStore>(config_.transient_budget_bytes));
     transients_raw_[s].push_back(transients_[s].back().get());
     WireEvictionListeners(static_cast<StreamId>(s), id);
-    injected_window_edges_[s].push_back(0);
   }
   backlog_.emplace_back();
   shard_map_.AddNode();
@@ -3367,20 +3050,6 @@ void Cluster::UpdateScrapedMetrics() {
       ->Set(migration_ != nullptr ? 1.0 : 0.0);
   m->GetGauge("wukongs_reconfig_draining_nodes")
       ->Set(static_cast<double>(draining_.size()));
-  // Delta-cache residency across registrations (§5.9); the hit/miss/
-  // invalidation counters are bumped at their event sites.
-  size_t delta_entries = 0;
-  size_t delta_bytes = 0;
-  for (const Registration& reg : registrations_) {
-    if (reg.delta_cache != nullptr) {
-      delta_entries += reg.delta_cache->EntryCount();
-      delta_bytes += reg.delta_cache->MemoryBytes();
-    }
-  }
-  m->GetGauge("wukongs_delta_cache_entries")
-      ->Set(static_cast<double>(delta_entries));
-  m->GetGauge("wukongs_delta_cache_bytes")
-      ->Set(static_cast<double>(delta_bytes));
   // Template-group residency (§5.12); the shared-eval/fan-out counters are
   // bumped at their event sites.
   size_t mqo_groups = 0;

@@ -34,7 +34,6 @@
 #include "src/common/histogram.h"
 #include "src/common/retry.h"
 #include "src/common/status.h"
-#include "src/engine/delta_cache.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/engine/executor.h"
@@ -109,13 +108,6 @@ struct ClusterConfig {
   // Forces in-place execution for every query (ablation: why the engine
   // picks fork-join for non-selective queries).
   bool force_in_place = false;
-
-  // Delta caching for continuous queries (§5.9): eligible registrations
-  // (exactly one sliding-window pattern, no UNION/LIMIT, no window pattern
-  // inside an OPTIONAL) memoize per-slice contributions across triggers and
-  // re-evaluate only the delta batches — O(delta) instead of O(window).
-  // Results are bag-identical to cold re-execution; row order may differ.
-  bool delta_cache_enabled = true;
 
   // Locality-aware partitioning of the stream index (paper §4.2, Fig. 9):
   // replicate a stream's index to nodes whose registered queries consume it.
@@ -194,10 +186,10 @@ struct QueryExecution {
   double shed_fraction = 0.0;
   uint64_t timing_edges_lost = 0;
 
-  // Delta-cache surface (§5.9): set when the trigger ran the delta pipeline.
-  bool delta = false;
-  uint64_t delta_slices_cached = 0;  // Window slices served from the cache.
-  uint64_t delta_slices_fresh = 0;   // Slices evaluated this trigger.
+  // Always 0: every trigger evaluates its full window (DESIGN.md §5.9).
+  // Kept only because perfbench/lsbench_replay.cc still reads them.
+  uint64_t delta_slices_cached = 0;
+  uint64_t delta_slices_fresh = 0;
 
   // Ownership epoch the execution was admitted under (DESIGN.md §5.10): all
   // of its reads route by this epoch's shard map, even if a migration commits
@@ -290,21 +282,16 @@ class Cluster {
   StatusOr<QueryExecution> ExecuteContinuousAt(ContinuousHandle h,
                                                StreamTime end_ms,
                                                double deadline_ms = 0.0);
-  // Cold re-execution: same query, same cached plan, delta cache bypassed
-  // (neither read nor written) and the continuous-query counter untouched.
-  // The differential harness uses it as the delta parity baseline.
+  // Cold re-execution: same query, same cached plan, evaluated on its own —
+  // never served from its template group, never re-planned, feeding no
+  // statistics, and leaving the continuous-query counter untouched. The
+  // differential harness uses it as the grouped-vs-independent baseline.
   StatusOr<QueryExecution> ExecuteContinuousColdAt(ContinuousHandle h,
                                                    StreamTime end_ms);
-  // Delta-cache introspection (§5.9). Stats/EntryCount are zero when the
-  // registration is ineligible (no cache attached).
-  bool HasDeltaCache(ContinuousHandle h) const;
-  DeltaCache::Stats DeltaStatsOf(ContinuousHandle h) const;
-  size_t DeltaEntryCountOf(ContinuousHandle h) const;
 
   // Removes a continuous registration: its triggers fail with NotFound from
-  // now on, its delta cache detaches, and it leaves its template group (the
-  // last member leaving dissolves the group and its per-group cache).
-  // Handles are never reused.
+  // now on, and it leaves its template group (the last member leaving
+  // dissolves the group). Handles are never reused.
   Status UnregisterContinuous(ContinuousHandle h);
   bool ContinuousActive(ContinuousHandle h) const;
 
@@ -319,12 +306,10 @@ class Cluster {
   };
   MqoStats mqo_stats() const;
   // Group of a registration (-1 = ungrouped / dissolved-away), its current
-  // member count, live group count, and whether the group's shared probe
-  // carries a per-group DeltaCache.
+  // member count, and the live group count.
   int MqoGroupOf(ContinuousHandle h) const;
   size_t MqoGroupSizeOf(ContinuousHandle h) const;
   size_t MqoLiveGroups() const;
-  bool MqoGroupHasDeltaCache(ContinuousHandle h) const;
 
   // --- Adaptive re-planning & plan pinning (§5.14). ---
   struct ReplanStats {
@@ -343,8 +328,8 @@ class Cluster {
   uint64_t PlanVersionOf(ContinuousHandle h) const;
   // Installs a manual plan pin: validates the order against the registered
   // query's pattern count, derives selectivity unless the pin overrides it,
-  // re-keys the delta cache and MQO memos coherently, and exempts the
-  // registration from adaptive re-planning from now on.
+  // invalidates the MQO memos, and exempts the registration from adaptive
+  // re-planning from now on.
   Status PinContinuousPlan(ContinuousHandle h, const PlanPin& pin);
   // Fresh snapshot of the live statistics feeding the adaptive planner.
   StreamStatsSnapshot CurrentStreamStats() const { return stream_stats_.Snapshot(); }
@@ -598,15 +583,6 @@ class Cluster {
     std::shared_ptr<const PlanState> plan;  // Null until first planned.
     uint64_t triggers_since_check = 0;      // Guarded by plan_mu.
 
-    // Delta cache (§5.9), attached at registration when the query is
-    // eligible; null otherwise. `delta_window` is the index into
-    // query.windows of the single window-scoped pattern's window, and
-    // `last_stable` the Stable_VTS entry observed at the previous delta
-    // trigger (drives the Coordinator's trigger-delta computation).
-    std::unique_ptr<DeltaCache> delta_cache;
-    int delta_window = -1;
-    std::unique_ptr<std::atomic<BatchSeq>> last_stable;
-
     // Template-group membership (§5.12). Unregistered registrations stay in
     // the deque (indices are handles) with active=false. `group` indexes
     // groups_; `hole_constant` is this member's user constant and
@@ -691,42 +667,37 @@ class Cluster {
   // Fork-join fan-out under straggler demotion: serving nodes not currently
   // kSlow (falls back to all serving nodes when demotion would empty it).
   std::vector<NodeId> ForkJoinFanout() const;
-  // --- Delta cache (§5.9). ---
-  // Index into q.windows of the single sliding-window pattern, or -1 when
-  // the query is ineligible for delta caching.
-  static int DeltaEligibleWindow(const Query& q);
   // Epoch of the stored graph as a query at snapshot `sn` sees it: any
   // append/load/crash anywhere changes it, and so does `sn` passing the
-  // snapshot of an edge appended earlier, flushing every delta cache at its
-  // next trigger. It sums the appended-edge count and min(sn, highest
-  // snapshot any stream edge was appended at); both terms never decrease, so
-  // the sum changes whenever either does (cheap relaxed-atomic reads).
+  // snapshot of an edge appended earlier, invalidating every template-group
+  // memo. It sums the appended-edge count and min(sn, highest snapshot any
+  // stream edge was appended at); both terms never decrease, so the sum
+  // changes whenever either does (cheap relaxed-atomic reads).
   uint64_t StoredEpoch(SnapshotNum sn) const;
   // Raises stored_sn_high_ to `sn` (stream edges appended at snapshot sn).
   void NoteStoredAppend(SnapshotNum sn);
-  // Eviction-listener fan-out: retire contributions below `min_live` in
-  // every delta cache fed by `stream`.
-  void NotifySliceEviction(StreamId stream, BatchSeq min_live);
+  // Points the node's transient store and stream index for `stream` at the
+  // MQO memo generation: any slice they reclaim bumps it.
   void WireEvictionListeners(StreamId stream, NodeId node);
   // Shared body of ExecuteContinuousAt / ExecuteContinuousColdAt.
+  // `production` is false only for the cold reference re-execution, which
+  // is never served from a template group, never re-plans and never feeds
+  // the live statistics.
   StatusOr<QueryExecution> ExecuteContinuousImpl(ContinuousHandle h,
                                                  StreamTime end_ms,
-                                                 bool allow_delta, bool count,
+                                                 bool production, bool count,
                                                  double deadline_ms = 0.0);
-  // Independent execution of one registration's trigger (plan-once, delta
-  // gate, cold pipeline, degrade/loss accounting). The caller has already
+  // Independent execution of one registration's trigger (plan-once, full-
+  // window pipeline, degrade/loss accounting). The caller has already
   // verified the trigger condition; also runs the group probe (§5.12).
   StatusOr<QueryExecution> ExecuteRegistrationAt(Registration& reg,
                                                  StreamTime end_ms,
-                                                 bool allow_delta, bool count);
+                                                 bool production, bool count);
   // --- Template groups (§5.12). ---
-  // Attaches a delta cache to `reg` when eligible and indexes it by stream.
-  void AttachDeltaCache(Registration& reg);
   // Buckets a just-appended registration into its template group (creating
   // the group and its probe on first sight of the signature).
   void AddToTemplateGroup(ContinuousHandle h);
-  // Unregister path: shrink the group; the last member dissolves it and
-  // detaches the probe's per-group delta cache.
+  // Unregister path: shrink the group; the last member dissolves it.
   void RemoveFromTemplateGroup(ContinuousHandle h);
   // Grouped trigger dispatch: serve `reg` from its group's shared probe
   // evaluation. nullopt = this trigger must run independently (group below
@@ -734,8 +705,6 @@ class Cluster {
   // member carries FILTERs and must reproduce independent error semantics).
   std::optional<StatusOr<QueryExecution>> TryExecuteGrouped(Registration& reg,
                                                             StreamTime end_ms);
-  // Drops the delta cache's stream-map entry (unregister / dissolution).
-  void DetachDeltaCache(Registration& reg);
   // Invalidate every group memo (GC, crash, reconfig, membership churn).
   void BumpMqoGeneration() {
     memo_gen_.fetch_add(1, std::memory_order_relaxed);
@@ -744,13 +713,6 @@ class Cluster {
   // back to config_.deadline.default_budget_ms; 0 (no budget) unless
   // config_.deadline.enforce.
   double EffectiveBudgetMs(double deadline_ms) const;
-  // Delta pipeline for one trigger, executing under `plan`. Sets *used=false
-  // (without error) when the trigger cannot run as a delta (empty window,
-  // executor fallback) — the caller then takes the cold path.
-  StatusOr<QueryExecution> RunQueryDelta(Registration& reg,
-                                         const PlanState& plan,
-                                         StreamTime end_ms, NodeId home,
-                                         DegradeState* degrade, bool* used);
   // --- Adaptive re-planning (§5.14). ---
   // Returns the registration's current plan, computing and installing it on
   // first use (the plan-once lifecycle). A plan made before the windows
@@ -762,10 +724,10 @@ class Cluster {
   // Trigger-cadence drift check + parity-gated cutover. No-op unless
   // config_.replan.enabled and the registration is unpinned.
   void MaybeReplan(Registration& reg, StreamTime end_ms, NodeId home);
-  // Installs `next` as reg's plan. `rekey` re-keys the delta cache to the
-  // new version and invalidates MQO memos — the coherence step a correct
-  // cutover must never skip. With `expected` set, installs only if reg's
-  // plan is still `expected`; returns whether `next` was installed.
+  // Installs `next` as reg's plan. `rekey` invalidates the MQO memos — the
+  // coherence step a correct cutover must never skip. With `expected` set,
+  // installs only if reg's plan is still `expected`; returns whether `next`
+  // was installed.
   bool InstallPlan(Registration& reg, std::shared_ptr<const PlanState> next,
                    bool rekey, const PlanState* expected = nullptr);
   // Parity-gated replacement of reg's `current` plan by `next` (§5.14):
@@ -787,8 +749,8 @@ class Cluster {
                                       NodeId home,
                                       const std::vector<int>& order,
                                       uint64_t* rows);
-  // Planner hints for this registration (delta bias, chunk rows); `stats`
-  // attaches the live snapshot so observed fan-outs refine the estimates.
+  // Planner hints for this registration; `stats` attaches the live snapshot
+  // so observed fan-outs refine the estimates.
   PlanHints HintsFor(const Registration& reg,
                      const StreamStatsSnapshot* stats) const;
   // Per-step observer feeding ObserveExpansion, with window patterns
@@ -868,12 +830,6 @@ class Cluster {
   // moving the stored epoch or snapshot (GC/eviction, crash, reconfig,
   // membership churn) bumps it, invalidating every group memo.
   std::atomic<uint64_t> memo_gen_{0};
-  // delta_caches_by_stream_[stream] = caches of registrations whose window
-  // pattern consumes that stream (each cache appears under exactly one
-  // stream). Guarded by delta_mu_; eviction listeners and registration
-  // append race with each other and with triggers.
-  mutable std::mutex delta_mu_;
-  std::vector<std::vector<DeltaCache*>> delta_caches_by_stream_;
   // --- Adaptive re-planning (§5.14). ---
   // Live statistics: rates fed from InjectBatch (logical time), fan-outs
   // from the executor's per-step observer on production executions.
@@ -896,10 +852,6 @@ class Cluster {
   // Nodes CrashNode marked and FinishNodeRestore has not yet re-admitted;
   // restoring an unmarked node is an InvalidArgument, not a silent success.
   std::unordered_set<NodeId> crash_marked_;
-  // injected_window_edges_[stream][node]: edges (timeless + timing) this
-  // node absorbed from the stream, scoping CrashNode's delta-cache flush to
-  // streams whose window data actually touched the crashed node.
-  std::vector<std::vector<uint64_t>> injected_window_edges_;
   // Highest snapshot any stream edge was appended to a store at (never
   // decreases); the visibility term of StoredEpoch.
   std::atomic<SnapshotNum> stored_sn_high_{0};
@@ -943,8 +895,6 @@ class Cluster {
     kDeliveryAttempts, kDeliveryRetries, kDeliveryExhausted, kDeliveryBackoffNs,
     kBatchesRedelivered, kBatchesDelayed, kDuplicatesSuppressed, kCrashes,
     kReroutes, kDegradedExecutions,
-    kDeltaHits, kDeltaMisses, kDeltaInvalidations, kDeltaEpochFlushes,
-    kDeltaBypasses, kDeltaPlanFlushes,
     kMovesStarted, kMovesCommitted, kMovesAborted, kEdgesCopied,
     kDualAppliedEdges, kBatchesReplayed, kNodesAdded, kDrainsStarted,
     kRehomedRegistrations, kStaleEdgesPurged,

@@ -23,7 +23,6 @@ MaintenanceDaemon::~MaintenanceDaemon() {
 
 void MaintenanceDaemon::RunOnce() {
   cluster_->RunMaintenance(horizon_());
-  passes_.fetch_add(1, std::memory_order_relaxed);
   Bump(obs_passes_);
 }
 
@@ -32,7 +31,6 @@ void MaintenanceDaemon::Kick() {
     std::lock_guard lock(mu_);
     kicked_ = true;
   }
-  kicks_.fetch_add(1, std::memory_order_relaxed);
   Bump(obs_kicks_);
   stop_cv_.notify_all();
 }

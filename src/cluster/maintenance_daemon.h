@@ -9,7 +9,6 @@
 #ifndef SRC_CLUSTER_MAINTENANCE_DAEMON_H_
 #define SRC_CLUSTER_MAINTENANCE_DAEMON_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -44,8 +43,11 @@ class MaintenanceDaemon {
   // reacts to overload the moment it appears. Safe from any thread.
   void Kick();
 
-  size_t passes() const { return passes_.load(std::memory_order_relaxed); }
-  size_t kicks() const { return kicks_.load(std::memory_order_relaxed); }
+  // Views over the registry counters the daemon bumps. Daemons on one
+  // registry (one cluster, or clusters sharing ClusterConfig::metrics) share
+  // them, so each then reports the sum.
+  size_t passes() const { return obs_passes_->value(); }
+  size_t kicks() const { return obs_kicks_->value(); }
 
  private:
   void Loop(std::chrono::milliseconds period);
@@ -53,8 +55,6 @@ class MaintenanceDaemon {
   Cluster* cluster_;
   HorizonFn horizon_;
   testkit::ScheduleController* schedule_;
-  std::atomic<size_t> passes_{0};
-  std::atomic<size_t> kicks_{0};
   // Resolved from Cluster::metrics() at construction (never null).
   obs::Counter* obs_passes_ = nullptr;
   obs::Counter* obs_kicks_ = nullptr;

@@ -114,7 +114,6 @@ void WorkerPool::WorkerLoop() {
       ++in_flight_;
     }
     task();
-    executed_.fetch_add(1, std::memory_order_relaxed);
     Bump(obs_executed_);
     {
       std::lock_guard lock(mu_);

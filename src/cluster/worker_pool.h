@@ -62,7 +62,10 @@ class WorkerPool {
   // Blocks until the queue is empty and all workers are idle.
   void Drain();
 
-  size_t executed() const { return executed_.load(std::memory_order_relaxed); }
+  // Tasks run to completion: a view over the registry counter the pool
+  // bumps. Pools on one registry (one cluster, or clusters sharing
+  // ClusterConfig::metrics) share that counter, so each then reports the sum.
+  size_t executed() const { return obs_executed_->value(); }
 
  private:
   void WorkerLoop();
@@ -76,7 +79,6 @@ class WorkerPool {
   std::deque<std::packaged_task<StatusOr<QueryExecution>()>> queue_;
   size_t in_flight_ = 0;
   bool stopping_ = false;
-  std::atomic<size_t> executed_{0};
   // Resolved from Cluster::metrics() at construction (never null).
   obs::Counter* obs_submitted_ = nullptr;
   obs::Counter* obs_executed_ = nullptr;

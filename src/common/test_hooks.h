@@ -26,10 +26,12 @@ extern std::atomic<bool> stale_sn_read;
 // golden-trace determinism test must catch via a digest change.
 extern std::atomic<bool> reorder_trace_spans;
 
-// TransientStore/StreamIndex skip notifying eviction listeners on GC, so
-// registered DeltaCaches keep serving binding rows sourced from reclaimed
-// slices — the planted mutation the delta parity lane must catch.
-extern std::atomic<bool> skip_delta_invalidation;
+// TransientStore/StreamIndex skip notifying eviction listeners on GC, so a
+// slice reclaimed outside a maintenance pass (a ring buffer full at append
+// time) never bumps the MQO memo generation, and template groups keep
+// fanning out probe rows sourced from the reclaimed slice. The mqo lane's
+// grouped-vs-cold check must catch it.
+extern std::atomic<bool> skip_eviction_listeners;
 
 // Template-group fan-out (§5.12) skips the hash partition and hands every
 // member the whole probe result — one user's bindings leak into sibling
@@ -45,12 +47,6 @@ extern std::atomic<bool> stale_group_membership;
 // in-place differential lane must catch the divergence against the oracle.
 extern std::atomic<bool> skip_selection_compact;
 
-// The delta path recycles a contribution's column arena right after handing
-// the chunks to the DeltaCache — simulating an arena reset while cached
-// chunks still point into it, the lifetime bug the arena ownership rules in
-// DESIGN.md §5.13 forbid. The delta/cold parity lane must catch it.
-extern std::atomic<bool> stale_arena_reuse;
-
 // The adaptive re-planner (§5.14) evaluates drift against the statistics
 // snapshot frozen into the current plan instead of a fresh collector read —
 // rates can shift arbitrarily and the drift detector never sees it, so
@@ -58,14 +54,9 @@ extern std::atomic<bool> stale_arena_reuse;
 extern std::atomic<bool> stale_stats_snapshot;
 
 // The adaptive cutover (§5.14) hot-swaps the candidate plan without the
-// shadow parity check or the coherent DeltaCache/MQO re-keying that rides on
-// the gated path — cached prefix tables and per-slice contributions computed
-// under the old plan keep being served under the new one. The planner lane's
-// cutover audit must catch it: a plan-version bump on a delta-cached query
-// with zero cache plan_flushes and zero cutover/pin counts is exactly this
-// mutation's signature. (The delta/cold parity oracle stays green today only
-// because fresh contributions inherit the cached prefix's column order — an
-// accident of prefix anchoring the audit does not rely on.)
+// shadow parity check or the MQO memo invalidation that rides on the gated
+// path. The planner lane's cutover audit must catch it: a plan-version bump
+// with zero cutover and pin counts is exactly this mutation's signature.
 extern std::atomic<bool> skip_parity_gate;
 
 // RAII toggle so a throwing test cannot leave a mutation armed for the rest

@@ -14,13 +14,11 @@
 // Ownership rules:
 //  - Column data is write-once: after a chunk is published into a table, its
 //    id arrays are never mutated — only the (per-table-copy) selection
-//    vector changes. Copying a table is therefore O(chunks), and the
-//    DeltaCache can hand the same chunks to every trigger.
+//    vector changes. Copying a table is therefore O(chunks).
 //  - Arenas are shared_ptr-owned by every table that adopted chunks from
-//    them (AppendTable, copies, cache entries), so a chunk handed off
-//    outlives the table that built it. Resetting or reusing an arena while
-//    any table still references it is the lifetime bug the
-//    `stale_arena_reuse` planted mutation simulates.
+//    them (AppendTable, copies), so a chunk handed off outlives the table
+//    that built it. Resetting or reusing an arena while any table still
+//    references it is the lifetime bug ScribbleArenasForTesting simulates.
 //  - The row view (ToRows) exists only for aggregation, which folds rows
 //    into per-group state and keeps one row-major implementation; it
 //    preserves row order exactly. Nothing converts rows back into chunks.
@@ -57,7 +55,7 @@ class ColumnArena {
   size_t bytes() const { return allocated_words_ * sizeof(VertexId); }
 
   // Overwrites every allocated word, simulating the arena being reset and
-  // reused while chunks still point into it (test_hooks::stale_arena_reuse).
+  // reused while chunks still point into it.
   void ScribbleForTesting(VertexId value);
 
  private:

@@ -923,117 +923,6 @@ StatusOr<QueryResult> ExecutePipeline(const Query& q, const std::vector<int>& pl
   return ProjectResult(q, ctx, table.value());
 }
 
-StatusOr<DeltaTable> ExecuteDeltaPatterns(const Query& q,
-                                          const std::vector<int>& plan,
-                                          const ExecContext& ctx,
-                                          const DeltaSpec& spec) {
-  if (plan.size() != q.patterns.size()) {
-    return Status::Internal("plan does not cover all patterns");
-  }
-  if (spec.cache == nullptr || spec.window_pos >= plan.size() ||
-      !spec.slice_source) {
-    return Status::Internal("delta execution without a cache or window split");
-  }
-  obs::Tracer::Span span = StageSpan(ctx, "exec/delta");
-  span.Arg("batches", static_cast<uint64_t>(spec.batches.size()))
-      .Arg("patterns", static_cast<uint64_t>(plan.size()));
-  // Stored-graph prefix: window-independent, so one table serves every slice
-  // and every trigger until an epoch flush.
-  ColumnarTable prefix;
-  if (!spec.cache->GetPrefix(&prefix)) {
-    for (size_t i = 0; i < spec.window_pos; ++i) {
-      const TriplePattern& p = q.patterns[static_cast<size_t>(plan[i])];
-      Status s = ApplyPatternColumnar(p, *SourceFor(ctx, p.graph), &prefix);
-      if (!s.ok()) {
-        return s;
-      }
-      if (prefix.num_rows() == 0) {
-        break;
-      }
-    }
-    prefix.Compact();
-    spec.cache->PutPrefix(prefix);
-  }
-
-  DeltaTable out;
-  const TriplePattern& wp =
-      q.patterns[static_cast<size_t>(plan[spec.window_pos])];
-  if (prefix.num_rows() > 0) {
-    for (BatchSeq b : spec.batches) {
-      ColumnarTable contrib;
-      if (spec.cache->GetContribution(b, &contrib)) {
-        ++out.slices_cached;
-      } else {
-        ++out.slices_fresh;
-        contrib = prefix;
-        Status s = ApplyPatternColumnar(wp, *spec.slice_source(b), &contrib);
-        if (!s.ok()) {
-          return s;
-        }
-        for (size_t i = spec.window_pos + 1;
-             i < plan.size() && contrib.num_rows() > 0; ++i) {
-          const TriplePattern& p = q.patterns[static_cast<size_t>(plan[i])];
-          s = ApplyPatternColumnar(p, *SourceFor(ctx, p.graph), &contrib);
-          if (!s.ok()) {
-            return s;
-          }
-        }
-        if (contrib.num_rows() > 0) {
-          // OPTIONALs and FILTERs are row-local, so applying them per slice
-          // and unioning equals applying them to the unioned table.
-          Status os = ApplyOptionals(q, ctx, &contrib);
-          if (!os.ok()) {
-            return os;
-          }
-          Status fs = ApplyFilters(q, ctx, &contrib);
-          if (!fs.ok()) {
-            return fs;
-          }
-        }
-        // Cache entries outlive this trigger: materialize selections so the
-        // cached chunks hold only live rows.
-        contrib.Compact();
-        spec.cache->PutContribution(b, contrib);
-        if (test_hooks::stale_arena_reuse.load(std::memory_order_relaxed)) {
-          // Planted defect: "reset" the contribution's arenas for reuse right
-          // after handing the chunks to the cache — the cached entry (and the
-          // union below, which adopts the same chunks) now reads scribbled
-          // column data.
-          contrib.ScribbleArenasForTesting(static_cast<VertexId>(0xDEAD));
-        }
-      }
-      if (contrib.num_rows() == 0) {
-        continue;
-      }
-      if (contrib.num_cols() == 0) {
-        // Degenerate all-constant plan: unit tables do not accumulate rows,
-        // so bag union cannot be expressed here. Cold path handles it.
-        out.fallback = true;
-        return out;
-      }
-      if (out.table.num_cols() == 0) {
-        for (int v : contrib.vars()) {
-          out.table.AddColumn(v);
-        }
-      }
-      assert(contrib.num_cols() == out.table.num_cols());
-      out.table.AppendTable(contrib);  // Adopts chunks; no row copies.
-    }
-  }
-  if (out.table.num_cols() == 0) {
-    // No contribution produced rows; mark the unit table empty so projection
-    // sees zero rows (matching the cold path's empty join).
-    out.table.FailUnit();
-    // With FILTERs present the cold path may instead fail on an unbound
-    // column of its early-exited table — reproduce by re-running cold.
-    out.fallback = !q.filters.empty();
-  }
-  span.Arg("cached", out.slices_cached)
-      .Arg("fresh", out.slices_fresh)
-      .Arg("rows", static_cast<uint64_t>(out.table.num_rows()));
-  return out;
-}
-
 StatusOr<QueryResult> ExecuteQuery(const Query& q, const std::vector<int>& plan,
                                    const ExecContext& ctx) {
   auto result = ExecutePipeline(q, plan, ctx);

@@ -22,7 +22,6 @@
 #include "src/common/status.h"
 #include "src/engine/binding.h"
 #include "src/engine/columnar.h"
-#include "src/engine/delta_cache.h"
 #include "src/engine/neighbor_source.h"
 #include "src/obs/trace.h"
 #include "src/rdf/string_server.h"
@@ -118,46 +117,6 @@ StatusOr<QueryResult> ProjectMemberFromProbe(
     const Query& q, const ExecContext& ctx, const QueryResult& probe,
     const std::vector<size_t>& member_rows,
     const std::vector<int>& var_to_probe_col);
-
-// --- Delta mode (DESIGN.md §5.9) ------------------------------------------
-//
-// Applies only to plans with exactly one window-scoped pattern (the caller's
-// eligibility gate): the plan splits into a stored-graph prefix, the window
-// pattern, and a stored-graph suffix. Each window slice's contribution —
-// prefix ⋈ slice, then suffix patterns, OPTIONALs and FILTERs — is
-// independent of every other slice, so the trigger's pre-projection table is
-// the bag union of per-slice contributions, most of which the DeltaCache
-// already holds from earlier triggers.
-struct DeltaSpec {
-  DeltaCache* cache = nullptr;
-  // Position in `plan` (not in q.patterns) of the single window pattern.
-  size_t window_pos = 0;
-  // The trigger's window slice set, ascending. The new-slice delta is
-  // whatever subset the cache does not hold; expired slices were already
-  // retired by DeltaCache::BeginTrigger / the GC invalidation hooks.
-  std::vector<BatchSeq> batches;
-  // Source view of the window pattern's stream restricted to one slice.
-  std::function<const NeighborSource*(BatchSeq)> slice_source;
-};
-
-struct DeltaTable {
-  // Union of contributions, post OPTIONALs + FILTERs. The union adopts
-  // cached chunks without copying.
-  ColumnarTable table;
-  // Union came out empty while the query carries FILTERs: the caller must
-  // fall back to the cold path so early-exit error semantics (FILTER over a
-  // variable the truncated table never bound) stay byte-identical.
-  bool fallback = false;
-  uint64_t slices_cached = 0;  // This trigger's cache hits.
-  uint64_t slices_fresh = 0;   // Slices evaluated against the delta.
-};
-
-// Runs the delta pipeline under an "exec/delta" span. The caller has already
-// called cache->BeginTrigger for this trigger's epoch and window range.
-StatusOr<DeltaTable> ExecuteDeltaPatterns(const Query& q,
-                                          const std::vector<int>& plan,
-                                          const ExecContext& ctx,
-                                          const DeltaSpec& spec);
 
 }  // namespace wukongs
 

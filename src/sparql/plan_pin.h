@@ -1,8 +1,8 @@
 // Manual plan pins (§5.14) — à la Sheldie__wukong's manual_plan/q1.fmt.
 //
 // A pin freezes a registered query's pattern execution order so benches and
-// regression tests assert *plan-dependent* behavior (DeltaCache prefix
-// reuse, fig13 recompute order) without depending on estimator internals,
+// regression tests assert *plan-dependent* behavior (the fig13 recompute
+// order) without depending on estimator internals,
 // and so operators can override the adaptive planner for a known-bad query.
 // Pinned registrations are exempt from adaptive re-planning.
 //

@@ -53,11 +53,11 @@ struct TemplateSignature {
 
 // Canonicalizes `q` into its template signature. Eligibility requires a
 // continuous query with windows, no UNION, no LIMIT, no absolute window, no
-// window-scoped pattern inside an OPTIONAL (mirroring delta-cache scoping so
-// one per-group DeltaCache can serve the probe), and exactly one constant
-// subject/object term, located in the required patterns — zero constants,
-// several constants, or a constant only inside an OPTIONAL all fall back to
-// independent evaluation.
+// window-scoped pattern inside an OPTIONAL (a rule the retired per-slice
+// delta cache needed; kept so the set of grouped queries does not change),
+// and exactly one constant subject/object term, located in the required
+// patterns — zero constants, several constants, or a constant only inside
+// an OPTIONAL all fall back to independent evaluation.
 TemplateSignature CanonicalizeTemplate(const Query& q);
 
 }  // namespace wukongs

@@ -80,7 +80,7 @@ class GStore {
   // --- Migration appends (online reconfiguration, DESIGN.md §5.10). ---
   // Copies one edge of a moving shard into this (target) store. Differences
   // from InjectEdge: counted separately (EdgeCountTotal — and therefore the
-  // delta-cache StoredEpoch guard — is unchanged by migration, since the data
+  // MQO memo's StoredEpoch guard — is unchanged by migration, since the data
   // is a bit-equal copy of what the source already serves), not counted as a
   // stream append, and out-of-order SNs are tolerated — history replayed
   // *after* dual-applied live batches folds into the newest marker (deferred

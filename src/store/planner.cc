@@ -108,12 +108,6 @@ std::vector<int> PlanQuery(const Query& q, const ExecContext& ctx,
       const TriplePattern& p = q.patterns[i];
       bool connected = TermBound(p.subject, bound) || TermBound(p.object, bound);
       double cost = EstimatePatternCost(p, bound, ctx, hints);
-      if (hints.delta_cache && p.graph != kGraphStored) {
-        // Cache-friendly bias: defer window patterns so the stored-graph
-        // prefix (cached across triggers) absorbs as much of the join as
-        // possible and per-slice contributions stay small.
-        cost *= 64.0;
-      }
       // Prefer connected patterns; disconnected ones would build a cartesian
       // product with the current table.
       if (best < 0 || (connected && !best_connected) ||

@@ -24,11 +24,6 @@ namespace wukongs {
 
 // Planner steering knobs supplied by the engine that owns the query.
 struct PlanHints {
-  // A DeltaCache is attached to this continuous query (§5.9): bias the plan
-  // toward cache-friendly shapes — stored-graph prefix first, window-scoped
-  // patterns last — so the cached prefix table and per-slice contributions
-  // stay reusable across triggers.
-  bool delta_cache = false;
   // Live statistics (§5.14): when set, an observed fan-out for a pattern's
   // (scope, predicate) overrides the seed-count heuristic for bound-variable
   // expansion. Null = static estimates only (the default everywhere except

@@ -100,20 +100,6 @@ VectorTimestamp Coordinator::StableVts() const {
   return StableVtsLocked();
 }
 
-BatchRange Coordinator::StableAdvanceSince(StreamId stream,
-                                           BatchSeq last_seen) const {
-  std::lock_guard lock(mu_);
-  BatchSeq stable = StableVtsLocked().Get(stream);
-  BatchRange r;
-  if (stable == kNoBatch || (last_seen != kNoBatch && stable <= last_seen)) {
-    r.empty = true;
-    return r;
-  }
-  r.lo = last_seen == kNoBatch ? 0 : last_seen + 1;
-  r.hi = stable;
-  return r;
-}
-
 SnapshotNum Coordinator::MaxSnCoveredLocked(const VectorTimestamp& vts) const {
   SnapshotNum sn = 0;  // kBaseSnapshot.
   for (const Plan& plan : plans_) {

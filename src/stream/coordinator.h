@@ -63,13 +63,6 @@ class Coordinator {
   VectorTimestamp LocalVts(NodeId node) const;
   VectorTimestamp StableVts() const;
 
-  // Trigger delta: the batches of `stream` that became stable since
-  // `last_seen` (the Stable_VTS entry observed at the previous trigger;
-  // kNoBatch = never observed). Empty when Stable_VTS has not advanced.
-  // Continuous engines use this to size the per-trigger delta — everything
-  // at or below `last_seen` is eligible for delta-cache reuse (§5.9).
-  BatchRange StableAdvanceSince(StreamId stream, BatchSeq last_seen) const;
-
   // Largest SN whose plan target is covered by Stable_VTS; kBaseSnapshot (0)
   // until the first plan completes.
   SnapshotNum StableSn() const;

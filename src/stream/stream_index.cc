@@ -219,12 +219,11 @@ size_t StreamIndex::EvictBefore(BatchSeq min_live_seq) {
     evicted_below_ = std::max(evicted_below_, min_live_seq);
     listener = listener_;
   }
-  // Fired outside the lock: listeners take the delta-cache lock and must not
-  // nest inside ours. The planted skip_delta_invalidation fault suppresses
-  // the notification so caches serve rows from reclaimed slices.
+  // Fired outside the lock, so the listener may take its own locks. The
+  // planted skip_eviction_listeners fault suppresses the notification.
   if (freed > 0 && listener &&
-      !test_hooks::skip_delta_invalidation.load(std::memory_order_relaxed)) {
-    listener(min_live_seq);
+      !test_hooks::skip_eviction_listeners.load(std::memory_order_relaxed)) {
+    listener();
   }
   return freed;
 }

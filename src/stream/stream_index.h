@@ -75,10 +75,10 @@ class StreamIndex {
                 std::vector<VertexId>* out) const;
   size_t SeedCount(BatchSeq seq, PredicateId pid, Dir dir) const;
 
-  // Invoked after EvictBefore drops batches, with the minimum batch still
-  // live; delta caches retire contributions below it (DESIGN.md §5.9).
-  // Called outside the index's lock, so the listener may take its own locks.
-  using EvictionListener = std::function<void(BatchSeq min_live_seq)>;
+  // Invoked after EvictBefore drops batches; the cluster invalidates its
+  // template-group memos on it. Called outside the index's lock, so the
+  // listener may take its own locks.
+  using EvictionListener = std::function<void()>;
   void SetEvictionListener(EvictionListener listener);
 
   // Drops index entries for batches < min_live_seq (stale windows).

@@ -10,17 +10,17 @@
 namespace wukongs {
 namespace {
 
-// Fires the eviction listener outside the store lock (listeners take the
-// delta-cache lock; keeping the orders disjoint avoids inversion under TSan).
+// Fires the eviction listener outside the store lock, so the listener may
+// take its own locks without nesting inside ours.
 void NotifyEviction(const TransientStore::EvictionListener& listener,
-                    size_t freed, BatchSeq min_live_seq) {
+                    size_t freed) {
   if (freed == 0 || !listener) {
     return;
   }
-  if (test_hooks::skip_delta_invalidation.load(std::memory_order_relaxed)) {
-    return;  // Planted fault: GC "forgets" to tell the delta caches.
+  if (test_hooks::skip_eviction_listeners.load(std::memory_order_relaxed)) {
+    return;  // Planted fault: GC "forgets" to tell the listener.
   }
-  listener(min_live_seq);
+  listener();
 }
 
 }  // namespace
@@ -67,7 +67,6 @@ TransientStore::Slice TransientStore::BuildSlice(
 bool TransientStore::AppendSlice(BatchSeq seq,
                                  const std::vector<std::pair<Key, VertexId>>& edges) {
   size_t freed = 0;
-  BatchSeq min_live = 0;
   EvictionListener listener;
   bool accepted = true;
   {
@@ -81,7 +80,6 @@ bool TransientStore::AppendSlice(BatchSeq seq,
       // Ring buffer full: reclaim expired slices right now (paper: GC is
       // "explicitly invoked when the ring buffer is full").
       freed = EvictBeforeLocked(gc_horizon_);
-      min_live = gc_horizon_;
       listener = listener_;
       accepted = total_bytes_ + slice.bytes <= memory_budget_bytes_;
     }
@@ -90,21 +88,19 @@ bool TransientStore::AppendSlice(BatchSeq seq,
       slices_.push_back(std::move(slice));
     }
   }
-  NotifyEviction(listener, freed, min_live);
+  NotifyEviction(listener, freed);
   return accepted;
 }
 
 size_t TransientStore::AppendSlicePrefix(
     BatchSeq seq, const std::vector<std::pair<Key, VertexId>>& edges) {
   size_t freed = 0;
-  BatchSeq min_live = 0;
   EvictionListener listener;
   size_t kept = 0;
   {
     std::lock_guard lock(mu_);
     assert(slices_.empty() || slices_.back().seq < seq);
     freed = EvictBeforeLocked(gc_horizon_);
-    min_live = gc_horizon_;
     listener = listener_;
 
     size_t budget_left =
@@ -133,7 +129,7 @@ size_t TransientStore::AppendSlicePrefix(
     slices_.push_back(std::move(slice));
     kept = lo;
   }
-  NotifyEviction(listener, freed, min_live);
+  NotifyEviction(listener, freed);
   return kept;
 }
 
@@ -268,7 +264,7 @@ size_t TransientStore::EvictBefore(BatchSeq min_live_seq) {
     freed = EvictBeforeLocked(min_live_seq);
     listener = listener_;
   }
-  NotifyEviction(listener, freed, min_live_seq);
+  NotifyEviction(listener, freed);
   return freed;
 }
 
@@ -279,15 +275,13 @@ void TransientStore::SetGcHorizon(BatchSeq min_live_seq) {
 
 size_t TransientStore::RunGc() {
   size_t freed = 0;
-  BatchSeq min_live = 0;
   EvictionListener listener;
   {
     std::lock_guard lock(mu_);
     freed = EvictBeforeLocked(gc_horizon_);
-    min_live = gc_horizon_;
     listener = listener_;
   }
-  NotifyEviction(listener, freed, min_live);
+  NotifyEviction(listener, freed);
   return freed;
 }
 

@@ -25,10 +25,10 @@ namespace wukongs {
 
 class TransientStore {
  public:
-  // Invoked after any eviction path reclaims slices, with the minimum batch
-  // still live; delta caches retire contributions below it (DESIGN.md §5.9).
-  // Called outside the store's lock, so the listener may take its own locks.
-  using EvictionListener = std::function<void(BatchSeq min_live_seq)>;
+  // Invoked after any eviction path reclaims slices; the cluster invalidates
+  // its template-group memos on it. Called outside the store's lock, so the
+  // listener may take its own locks.
+  using EvictionListener = std::function<void()>;
 
   // `memory_budget_bytes` = 0 means unbounded.
   explicit TransientStore(size_t memory_budget_bytes = 0);

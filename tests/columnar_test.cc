@@ -3,11 +3,10 @@
 // Randomized pipelines over ColumnarTable must preserve the chunk invariants
 // the executor's batched kernels rely on: selection vectors strictly
 // increasing and in-bounds, every column of a chunk the same length, arena
-// lifetime spanning chunk handoff (AppendTable, copies, cache-style sharing),
-// and the row view keeping row order intact. The
-// vectorized kernels are checked against scalar references, and the §5.13
-// arena-sharing semantics behind the `stale_arena_reuse` planted mutation are
-// pinned deterministically.
+// lifetime spanning chunk handoff (AppendTable, copies), and the row view
+// keeping row order intact. The vectorized kernels are checked against
+// scalar references, and the §5.13 arena-sharing semantics are pinned
+// deterministically.
 
 #include <gtest/gtest.h>
 
@@ -164,7 +163,7 @@ TEST(ColumnarChunkTest, RandomizedPipelinesKeepChunkInvariants) {
 
     // Filter -> (maybe) compact -> bag-union a second random table, checking
     // structure and content after every step. This is the executor pipeline
-    // in miniature: ApplyFilters, Compact at the cache boundary, delta union.
+    // in miniature: ApplyFilters, Compact, then a bag union of two tables.
     FilterBoth(&t, &model, static_cast<VertexId>(rng.Uniform(2, 5)));
     ASSERT_TRUE(ChunkInvariantsHold(t)) << "seed " << seed;
     ASSERT_EQ(Flatten(t), model) << "seed " << seed << " after filter";
@@ -242,9 +241,9 @@ TEST(ColumnarChunkTest, RowViewKeepsUnitTableSemantics) {
 }
 
 TEST(ColumnarChunkTest, AdoptedChunksOutliveTheBuilder) {
-  // Arena lifetime across handoff: a table that adopted chunks (delta union,
-  // cache Get) must keep the column data alive after the building table — the
-  // original shared_ptr holder — is destroyed.
+  // Arena lifetime across handoff: a table that adopted chunks (AppendTable)
+  // must keep the column data alive after the building table — the original
+  // shared_ptr holder — is destroyed.
   ColumnarTable dest;
   dest.AddColumn(0);
   dest.AddColumn(1);
@@ -260,7 +259,7 @@ TEST(ColumnarChunkTest, AdoptedChunksOutliveTheBuilder) {
   ASSERT_TRUE(ChunkInvariantsHold(dest));
   EXPECT_EQ(Flatten(dest), model);
 
-  // Same through the copy path (what DeltaCache Get/Put do).
+  // Same through the copy path.
   std::unique_ptr<ColumnarTable> original;
   {
     auto t = std::make_unique<ColumnarTable>();
@@ -274,20 +273,19 @@ TEST(ColumnarChunkTest, AdoptedChunksOutliveTheBuilder) {
 }
 
 TEST(ColumnarChunkTest, ScribbledArenaCorruptsEveryShareHolder) {
-  // Deterministic spot-check of the mechanism behind the stale_arena_reuse
-  // planted mutation: because copies share arenas rather than copying column
-  // data, recycling the builder's arena is visible through a cached copy.
-  // This is the lifetime rule §5.13 states; the differential twin lane proves
-  // the executor-level mutation is caught end to end.
+  // Because copies share arenas rather than copying column data, recycling
+  // the building table's arena is visible through every copy. This is the
+  // lifetime rule §5.13 states: no arena may be reset while any table still
+  // references it.
   ColumnarTable t;
   t.AddColumn(0);
   VertexId row[1] = {5};
   t.AppendRow(row);
-  ColumnarTable cached = t;  // Cache-style handoff: shares the chunk + arena.
+  ColumnarTable cached = t;  // Copy: shares the chunk + arena.
   ASSERT_EQ(cached.chunks()[0].cols[0][0], 5u);
   t.ScribbleArenasForTesting(static_cast<VertexId>(0xDEAD));
   EXPECT_EQ(cached.chunks()[0].cols[0][0], 0xDEADu)
-      << "copies no longer share arenas; the planted mutation would be inert";
+      << "copies no longer share arenas";
 }
 
 TEST(ColumnarKernelTest, CountEqualMatchesScalarReference) {

@@ -11,13 +11,14 @@
 //
 // Planted mutations (src/common/test_hooks.h) prove the harness has teeth: an
 // off-by-one window boundary and a stale Stable_SN read must both be detected
-// within a handful of seeds, and so must the two columnar defects
-// (uncompacted selection vector, recycled arena) on the in-place lane.
+// within a handful of seeds, and so must the columnar uncompacted-selection-
+// vector defect on the in-place lane.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -76,9 +77,8 @@ struct RunConfig {
   bool migrate = false;
   // In-place lane (§5.13): pin in-place execution. The generated continuous
   // queries are mostly non-selective, and non-selective triggers take
-  // fork-join, which bypasses the delta path entirely; pinning in-place
-  // routes them through delta execution, where cached columnar contributions
-  // (and the stale_arena_reuse defect class) live.
+  // fork-join; pinning in-place routes them through the charged one-sided
+  // read path instead.
   bool in_place = false;
   // Adaptive lane (§5.14): the primary runs with cost-based re-planning
   // enabled while a statically-planned twin replays the same events. Plans
@@ -91,6 +91,20 @@ struct RunConfig {
   // Adaptive lane: accumulates the primary's replan counters across seeds so
   // the test can prove the machinery was exercised, not just survived.
   Cluster::ReplanStats* replan_out = nullptr;
+  // Overload seeds (§5.6): backpressure, shedding and a tight transient
+  // budget, with stream S0's feeds replayed two batches ahead of the clock
+  // (WithLeadingStream) so its batches wait at the door. The door-shed,
+  // injector-loss and feed-rejection paths then carry real traffic, and the
+  // metrics sweep cross-checks non-zero counters against the shed ledger and
+  // the harness's bounce count. Results are compared with the oracle (and
+  // the adaptive twin) exactly unless a window read a batch that lost edges
+  // at the injector: that loss can keep one direction of an edge and not the
+  // other, so what a query sees depends on its plan, and the oracle cannot
+  // model it.
+  bool overload = false;
+  // Accumulates the overload counters across seeds, so a lane can prove the
+  // overload seeds exercised every path.
+  OverloadStats* overload_out = nullptr;
 };
 
 RunConfig ConfigForSeed(uint64_t seed) {
@@ -99,7 +113,54 @@ RunConfig ConfigForSeed(uint64_t seed) {
   cfg.seed = seed;
   cfg.nodes = static_cast<uint32_t>(1 + rng.Uniform(0, 2));
   cfg.batches_per_sn = 1 + rng.Uniform(0, 1);
+  cfg.overload = seed % 4 == 3;
   return cfg;
+}
+
+// Overload seeds' traffic shape: every feed on stream 0 moves two batch
+// intervals ahead, and a feed of two or more tuples is split in two. S0
+// feeds then complete batches ahead of S1, which the plan-extension cap
+// holds at the door until S1 catches up, and the second half of a split
+// feed can find the one-batch door queue full and bounce. Per-stream
+// timestamp order is kept, so any trace — minimized ones included — stays a
+// valid input.
+std::vector<Event> WithLeadingStream(const std::vector<Event>& trace) {
+  constexpr StreamTime kLeadMs = 2 * kInterval;
+  std::vector<Event> out;
+  out.reserve(trace.size());
+  for (const Event& e : trace) {
+    if (e.kind != Event::Kind::kFeed || e.stream != 0) {
+      out.push_back(e);
+      continue;
+    }
+    Event lead = e;
+    for (TupleDesc& t : lead.tuples) {
+      t.ts += kLeadMs;
+    }
+    if (lead.tuples.size() < 2) {
+      out.push_back(std::move(lead));
+      continue;
+    }
+    const size_t half = lead.tuples.size() / 2;
+    Event second = lead;
+    lead.tuples.resize(half);
+    second.tuples.erase(second.tuples.begin(),
+                        second.tuples.begin() + static_cast<ptrdiff_t>(half));
+    out.push_back(std::move(lead));
+    out.push_back(std::move(second));
+  }
+  return out;
+}
+
+// Overload settings shared by the primary and the adaptive twin.
+void ApplyOverload(ClusterConfig* config) {
+  config->transient_budget_bytes = 1024;
+  config->overload.enabled = true;
+  config->overload.shed_timing = true;
+  config->overload.max_plan_extensions = 1;
+  config->overload.pending_queue_capacity = 1;
+  config->overload.shed.start_pressure = 0.05;
+  config->overload.shed.min_keep_fraction = 0.0;
 }
 
 GenVocab MakeVocab() {
@@ -303,13 +364,18 @@ std::string SerializeTrace(const std::vector<Event>& trace) {
 // metrics registry's live-site counters agree with the harness's own
 // accounting (the observability layer is cross-checked on every seed, so
 // counter drift fails the lane like any other defect).
-Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
+Status RunTrace(const RunConfig& cfg, const std::vector<Event>& input) {
+  const std::vector<Event> trace =
+      cfg.overload ? WithLeadingStream(input) : input;
   GenVocab vocab = MakeVocab();
   ClusterConfig config;
   config.nodes = cfg.nodes;
   config.batch_interval_ms = kInterval;
   config.batches_per_sn = cfg.batches_per_sn;
   config.force_in_place = cfg.in_place;
+  if (cfg.overload) {
+    ApplyOverload(&config);
+  }
   if (cfg.adaptive) {
     // Same knobs the planner lane uses: check every trigger, judge rates over
     // a window short enough that the trace's mid-run step is visible before
@@ -387,6 +453,9 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
     twin_config.nodes = cfg.nodes;
     twin_config.batch_interval_ms = kInterval;
     twin_config.batches_per_sn = cfg.batches_per_sn;
+    if (cfg.overload) {
+      ApplyOverload(&twin_config);
+    }
     if (cfg.fuzz_schedule) {
       twin_sched = std::make_unique<ScheduleController>(cfg.seed);
       twin_config.schedule = twin_sched.get();
@@ -469,9 +538,45 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
     }
   };
 
+  // Edges the injector shed or lost from the batches `q`'s windows read
+  // (relative windows end at `end`; absolute ones are clamped to `stable`).
+  auto injector_loss = [&](const Query& q, StreamTime end,
+                           const VectorTimestamp& stable) -> uint64_t {
+    uint64_t lost = 0;
+    for (const WindowSpec& w : q.windows) {
+      auto sid = cluster.FindStream(w.stream_name);
+      if (!sid.ok()) {
+        continue;
+      }
+      BatchSeq lo = 0;
+      BatchSeq hi = 0;
+      if (w.absolute) {
+        const BatchSeq have = stable.Get(*sid);
+        if (have == kNoBatch || w.to_ms == 0) {
+          continue;
+        }
+        lo = w.from_ms / kInterval;
+        hi = std::min<BatchSeq>((w.to_ms - 1) / kInterval, have);
+      } else {
+        if (end == 0) {
+          continue;
+        }
+        lo = (end > w.range_ms ? end - w.range_ms : 0) / kInterval;
+        hi = (end - 1) / kInterval;
+      }
+      for (BatchSeq b = lo; b <= hi; ++b) {
+        lost += cluster.ShedInfoFor(*sid, b).injector_lost_edges;
+      }
+    }
+    return lost;
+  };
+
   auto compare = [&](const Query& q, const QueryExecution& exec, SnapshotNum sn,
                      const VectorTimestamp& stable, StreamTime end,
                      const std::string& what) -> Status {
+    if (injector_loss(q, end, stable) > 0) {
+      return Status::Ok();  // Plan-dependent loss the oracle cannot model.
+    }
     auto want = oracle.Evaluate(q, sn, stable, end);
     if (!want.ok()) {
       return Status::Internal(what + ": oracle failed: " + want.status().ToString());
@@ -716,6 +821,19 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
                             t.ts,
                             TupleKind::kTimeless});
         }
+        // The twin interns the same names whether or not the feed bounces,
+        // so vertex ids stay aligned across the two clusters.
+        StreamTupleVec twin_tuples;
+        if (twin) {
+          StringServer* ts = twin->strings();
+          for (const TupleDesc& t : e.tuples) {
+            twin_tuples.push_back({{ts->InternVertex(t.s),
+                                    ts->InternPredicate(t.p),
+                                    ts->InternVertex(t.o)},
+                                   t.ts,
+                                   TupleKind::kTimeless});
+          }
+        }
         Status st = cluster.FeedStream(sids[e.stream], tuples);
         if (st.code() == StatusCode::kResourceExhausted) {
           // A backpressure bounce ingests nothing (the oracle is fed from
@@ -727,15 +845,6 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
           return Status::Internal("feed failed: " + st.ToString());
         }
         if (twin) {
-          StringServer* ts = twin->strings();
-          StreamTupleVec twin_tuples;
-          for (const TupleDesc& t : e.tuples) {
-            twin_tuples.push_back({{ts->InternVertex(t.s),
-                                    ts->InternPredicate(t.p),
-                                    ts->InternVertex(t.o)},
-                                   t.ts,
-                                   TupleKind::kTimeless});
-          }
           st = twin->FeedStream(twin_sids[e.stream], twin_tuples);
           if (!st.ok()) {
             return Status::Internal("twin feed failed: " + st.ToString());
@@ -818,7 +927,10 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
             return Status::Internal("twin parse failed: " +
                                     tq.status().ToString());
           }
-          Status tc = twin_check(exec, twin->OneShotParsed(*tq), "one-shot");
+          auto twin_exec = twin->OneShotParsed(*tq);
+          Status tc = injector_loss(*q, 0, stable) > 0
+                          ? Status::Ok()
+                          : twin_check(exec, twin_exec, "one-shot");
           if (!tc.ok()) {
             return Status::Internal(tc.message() + "\n  text: " + e.text);
           }
@@ -829,7 +941,9 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
           // that is legitimate iff the oracle agrees the join is empty (or
           // rejects the query itself).
           if (exec.status().code() == StatusCode::kInvalidArgument) {
-            if (!oracle.Evaluate(*q, presn, stable, 0).ok()) {
+            // Injector loss can empty a join the oracle still sees whole.
+            if (!oracle.Evaluate(*q, presn, stable, 0).ok() ||
+                injector_loss(*q, 0, stable) > 0) {
               break;
             }
             auto empty = oracle.HasEmptyJoin(*q, presn, stable, 0);
@@ -878,10 +992,12 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
         VectorTimestamp stable = cluster.coordinator()->StableVts();
         auto exec = cluster.ExecuteContinuousAt(r.handle, end);
         if (twin) {
-          Status tc = twin_check(
-              exec, twin->ExecuteContinuousAt(twin_handles[e.handle], end),
-              "continuous q" + std::to_string(e.handle) + " @" +
-                  std::to_string(end));
+          auto twin_exec = twin->ExecuteContinuousAt(twin_handles[e.handle], end);
+          Status tc = injector_loss(r.q, end, stable) > 0
+                          ? Status::Ok()
+                          : twin_check(exec, twin_exec,
+                                       "continuous q" + std::to_string(e.handle) +
+                                           " @" + std::to_string(end));
           if (!tc.ok()) {
             return tc;
           }
@@ -891,7 +1007,7 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
             SnapshotNum sn = checker.RecomputeStableSn(stable, nstreams);
             auto empty = oracle.HasEmptyJoin(r.q, sn, stable, end);
             if (!oracle.Evaluate(r.q, sn, stable, end).ok() ||
-                (empty.ok() && *empty)) {
+                (empty.ok() && *empty) || injector_loss(r.q, end, stable) > 0) {
               r.last_end = end;  // Matched rejection still advances the prefix.
               break;
             }
@@ -910,11 +1026,10 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
         if (!cmp.ok()) {
           return cmp;
         }
-        // Delta parity (§5.9): the delivered result — delta-cached or not —
-        // must be bag-identical to a cold full-window re-execution on the
-        // same cached plan. This is the check that catches a GC that forgets
-        // to invalidate delta-cache entries (stale contributions survive in
-        // the cache but not in a cold read).
+        // Grouped-vs-independent parity (§5.12): the delivered result —
+        // served from a template group's memo or not — must be bag-identical
+        // to a cold re-execution on the same cached plan, which never reads
+        // a memo.
         auto cold = cluster.ExecuteContinuousColdAt(r.handle, end);
         if (!cold.ok()) {
           return Status::Internal("cold re-execution failed where the trigger "
@@ -922,10 +1037,10 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
         }
         if (CanonicalBag(exec->result) != CanonicalBag(cold->result)) {
           return Status::Internal(
-              "delta/cold divergence on continuous q" + std::to_string(e.handle) +
-              " @" + std::to_string(end) + ": delta " +
-              std::to_string(exec->result.rows.size()) + " rows vs cold " +
-              std::to_string(cold->result.rows.size()));
+              "delivered/cold divergence on continuous q" +
+              std::to_string(e.handle) + " @" + std::to_string(end) +
+              ": delivered " + std::to_string(exec->result.rows.size()) +
+              " rows vs cold " + std::to_string(cold->result.rows.size()));
         }
         // Zero-dup: a fresh window is never suppressed — in the adaptive lane
         // this holds across plan cutovers too (a cutover must not replay or
@@ -952,21 +1067,13 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
 
   if (cfg.adaptive) {
     // Cutover audit (§5.14), the same invariant the planner lane pins: a
-    // plan-version bump on a delta-cached registration implies the cache was
-    // re-keyed and the install went through the parity gate (or a pin).
+    // plan-version bump implies the install went through the parity gate
+    // (or a pin).
     const Cluster::ReplanStats rs = cluster.replan_stats();
     for (const Reg& r : regs) {
-      if (cluster.PlanVersionOf(r.handle) < 2) {
-        continue;
-      }
-      if (rs.cutovers + rs.pins == 0) {
+      if (cluster.PlanVersionOf(r.handle) >= 2 && rs.cutovers + rs.pins == 0) {
         return Status::Internal("plan version advanced without a gated "
                                 "cutover or pin");
-      }
-      if (cluster.HasDeltaCache(r.handle) &&
-          cluster.DeltaStatsOf(r.handle).plan_flushes == 0) {
-        return Status::Internal(
-            "plan cutover left the delta cache keyed to the old plan");
       }
     }
     if (cfg.replan_out != nullptr) {
@@ -1051,13 +1158,29 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
   ms = expect_eq(counter("wukongs_feed_rejections_total"), bounced_feeds,
                  "feed rejections vs bounced FeedStream calls");
   if (!ms.ok()) return ms;
+  if (cfg.overload_out != nullptr) {
+    cfg.overload_out->door_shed_tuples += ledger_door_shed;
+    cfg.overload_out->injector_shed_edges += ledger_lost_edges;
+    cfg.overload_out->feed_rejections += bounced_feeds;
+  }
   return Status::Ok();
 }
 
-Status RunSeed(uint64_t seed, bool in_place = false) {
+Status RunSeed(uint64_t seed, bool in_place = false,
+               OverloadStats* overload_out = nullptr) {
   RunConfig cfg = ConfigForSeed(seed);
   cfg.in_place = in_place;
+  cfg.overload_out = overload_out;
   return RunTrace(cfg, MakeTrace(seed));
+}
+
+// The overload seeds of a lane must have driven every loss path the metrics
+// sweep cross-checks; otherwise those checks compare 0 with 0.
+void ExpectOverloadExercised(const OverloadStats& total) {
+  EXPECT_GT(total.door_shed_tuples, 0u) << "no overload seed shed at the door";
+  EXPECT_GT(total.injector_shed_edges, 0u)
+      << "no overload seed lost edges at the injector";
+  EXPECT_GT(total.feed_rejections, 0u) << "no overload seed bounced a feed";
 }
 
 // Seeds per long lane: 200, or WUKONGS_DIFF_SEEDS (2000 nightly).
@@ -1089,11 +1212,13 @@ std::vector<Event> MinimizeTrace(const RunConfig& cfg, std::vector<Event> trace)
 
 TEST(DifferentialTest, SeedsMatchOracle) {
   const uint64_t seeds = LaneSeeds();
+  OverloadStats overload;
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    Status st = RunSeed(seed);
+    Status st = RunSeed(seed, /*in_place=*/false, &overload);
     ASSERT_TRUE(st.ok()) << "seed " << seed << ": " << st.ToString()
                          << "\ntrace:\n" << SerializeTrace(MakeTrace(seed));
   }
+  ExpectOverloadExercised(overload);
 }
 
 // --- The migration lane (§5.10): live reconfiguration under fuzzing. ---
@@ -1115,37 +1240,41 @@ TEST(DifferentialTest, MigrationSeedsMatchOracle) {
   }
 }
 
-// --- The in-place lane (§5.13): delta execution under fuzzing. ---
+// --- The in-place lane (§5.13): in-place execution under fuzzing. ---
 //
 // Same contract as SeedsMatchOracle with in-place execution pinned, so
-// non-selective continuous queries take the delta path (cached columnar
-// contributions adopted into per-trigger unions) instead of fork-join.
+// non-selective continuous queries run through charged one-sided reads
+// instead of fork-join.
 TEST(DifferentialTest, InPlaceSeedsMatchOracle) {
   const uint64_t seeds = LaneSeeds();
+  OverloadStats overload;
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    Status st = RunSeed(seed, /*in_place=*/true);
+    Status st = RunSeed(seed, /*in_place=*/true, &overload);
     ASSERT_TRUE(st.ok()) << "seed " << seed << ": " << st.ToString()
                          << "\ntrace:\n" << SerializeTrace(MakeTrace(seed));
   }
+  ExpectOverloadExercised(overload);
 }
 
 // --- The adaptive lane (§5.14): cost-based re-planning under fuzzing. ---
 //
 // Same differential contract as SeedsMatchOracle — oracle match, consistency
-// audits, per-trigger delta/cold parity, metrics sweep — with re-planning
+// audits, per-trigger delivered/cold parity, metrics sweep — with re-planning
 // armed on the primary, a statically-planned twin demanding bag equality on
 // every delivery, a deterministic mid-run rate step per seed so drift
 // genuinely fires, a zero-dup WindowDedup audit across cutovers, and the
-// end-of-trace cutover audit (version bump ⇒ cache re-keyed + gated install).
+// end-of-trace cutover audit (version bump ⇒ gated install).
 // The aggregate counters prove the lane exercised the machinery rather than
 // idling past it.
 TEST(AdaptiveReplanDifferentialTest, SeedsMatchOracle) {
   const uint64_t seeds = LaneSeeds();
   Cluster::ReplanStats total;
+  OverloadStats overload;
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     RunConfig cfg = ConfigForSeed(seed);
     cfg.adaptive = true;
     cfg.replan_out = &total;
+    cfg.overload_out = &overload;
     // Every fourth seed layers live reconfiguration on top: plan cutovers and
     // ownership-epoch cutovers interleave, and both audits must still hold.
     if (seed % 4 == 0) {
@@ -1162,6 +1291,7 @@ TEST(AdaptiveReplanDifferentialTest, SeedsMatchOracle) {
       << "the rate step never registered as drift";
   EXPECT_GT(total.cutovers, 0u)
       << "no seed ever cut over to a re-synthesized plan";
+  ExpectOverloadExercised(overload);
 }
 
 TEST(DifferentialTest, TraceGenerationIsDeterministic) {
@@ -1196,22 +1326,13 @@ TEST(DifferentialMutationTest, PlantedStaleSnReadIsCaught) {
       << "stale Stable_SN read survived 20 differential seeds";
 }
 
-// The two planted columnar defects (§5.13) must both be observable through
-// the in-place lane: a selection vector that is computed but never stored
-// leaves FILTER-dropped rows active, which the oracle comparison sees, and an
-// arena recycled while the DeltaCache still references its chunks corrupts
-// cached contributions, which the per-trigger delta/cold parity check and
-// the oracle both see.
+// The planted columnar defect (§5.13) must be observable through the
+// in-place lane: a selection vector that is computed but never stored leaves
+// FILTER-dropped rows active, which the oracle comparison sees.
 TEST(ColumnarDifferentialTest, PlantedSkipSelectionCompactIsCaught) {
   test_hooks::ScopedMutation plant(&test_hooks::skip_selection_compact);
   EXPECT_NE(FirstFailingSeed(20, /*in_place=*/true), 0u)
       << "uncompacted selection vector survived 20 in-place seeds";
-}
-
-TEST(ColumnarDifferentialTest, PlantedStaleArenaReuseIsCaught) {
-  test_hooks::ScopedMutation plant(&test_hooks::stale_arena_reuse);
-  EXPECT_NE(FirstFailingSeed(20, /*in_place=*/true), 0u)
-      << "stale arena reuse survived 20 in-place seeds";
 }
 
 TEST(DifferentialMutationTest, FailingTraceMinimizesAndReplaysByteIdentically) {
@@ -1450,6 +1571,126 @@ TEST(DifferentialShedTest, ForkJoinMergeThreadsLossAccounting) {
                        static_cast<double>(window_total));
 }
 
+// --- Triggers against GC: cold-path and oracle parity. ---
+
+// One stored pattern joined with one window pattern over a timing predicate:
+// the shape whose window slices GC reclaims while triggers read them.
+constexpr char kFollowPingQuery[] = R"(
+    REGISTER QUERY D AS
+    SELECT ?y ?w
+    FROM STREAM <S> [RANGE 1s STEP 100ms]
+    FROM <Base>
+    WHERE {
+      GRAPH <Base> { Logan fo ?y }
+      GRAPH <S>    { ?y at ?w }
+    })";
+constexpr StreamTime kFollowPingRangeMs = 1000;
+
+// Random interleavings of feeding, clock advancement, triggers and GC —
+// including horizons past live-window starts, which reclaim slices a window
+// still covers. Every trigger must match a cold re-execution at the same
+// instant, and every trigger whose window lies wholly above the highest GC
+// horizon so far must match the reference oracle: no trigger ever serves a
+// row from a reclaimed slice, and none loses one that is still live.
+TEST(DifferentialGcTest, RandomInterleavingsNeverServeExpiredSlices) {
+  constexpr uint64_t kSeeds = 25;
+  uint64_t oracle_checks = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(seed);
+    ScheduleController sched(seed);
+    ClusterConfig config;
+    config.nodes = 1 + static_cast<uint32_t>(rng.Uniform(0, 2));
+    config.batch_interval_ms = kInterval;
+    config.schedule = &sched;
+    Cluster cluster(config);
+    StringServer* strings = cluster.strings();
+    ReferenceOracle oracle(strings, kInterval, config.batches_per_sn);
+    StreamId s = *cluster.DefineStream("S", {"at"});
+    oracle.DefineStream("S");
+    // Second stream so the controller has cross-stream orders to permute.
+    StreamId noise = *cluster.DefineStream("N", {"at"});
+    oracle.DefineStream("N");
+    cluster.SetBatchLogger([&](const StreamBatch& b) {
+      oracle.AddBatch(b.stream, b.seq, b.tuples);
+    });
+    SnapshotChecker checker(config.batches_per_sn);
+
+    auto vid = [&](const std::string& name) {
+      return strings->InternVertex(name);
+    };
+    PredicateId fo = strings->InternPredicate("fo");
+    PredicateId at = strings->InternPredicate("at");
+    std::vector<VertexId> people = {vid("Logan"), vid("Erik"), vid("Tony"),
+                                    vid("Bruce")};
+    std::vector<Triple> base;
+    for (VertexId p : people) {
+      base.push_back(Triple{vid("Logan"), fo, p});
+    }
+    cluster.LoadBase(base);
+    oracle.LoadBase(base);
+
+    auto h = cluster.RegisterContinuous(kFollowPingQuery);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    const Query& q = cluster.ContinuousQueryOf(*h);
+
+    StreamTime now = 0;
+    StreamTime gc_floor = 0;
+    uint64_t triggers = 0;
+    for (int step = 0; step < 40; ++step) {
+      now += kInterval;
+      size_t feeds = rng.Uniform(0, 3);
+      StreamTupleVec tuples;
+      for (size_t i = 0; i < feeds; ++i) {
+        VertexId who = people[rng.Uniform(0, people.size() - 1)];
+        tuples.push_back(StreamTuple{
+            {who, at, vid("L" + std::to_string(now) + "_" + std::to_string(i))},
+            now - kInterval + 10 * (i + 1),
+            TupleKind::kTiming});
+      }
+      ASSERT_TRUE(cluster.FeedStream(s, tuples).ok());
+      if (rng.Bernoulli(0.5)) {
+        ASSERT_TRUE(cluster
+                        .FeedStream(noise, {StreamTuple{{people[0], at, vid("n")},
+                                                        now - 1,
+                                                        TupleKind::kTiming}})
+                        .ok());
+      }
+      cluster.AdvanceStreams(now);
+
+      if (rng.Bernoulli(0.25)) {
+        // GC at a random horizon — sometimes beyond live-window starts.
+        StreamTime horizon = rng.Uniform(0, now);
+        cluster.RunMaintenance(horizon);
+        gc_floor = std::max(gc_floor, horizon);
+      }
+
+      if (now >= kFollowPingRangeMs && rng.Bernoulli(0.6) &&
+          cluster.WindowReady(*h, now)) {
+        VectorTimestamp stable = cluster.coordinator()->StableVts();
+        auto exec = cluster.ExecuteContinuousAt(*h, now);
+        auto cold = cluster.ExecuteContinuousColdAt(*h, now);
+        ASSERT_TRUE(exec.ok()) << "seed " << seed << ": "
+                               << exec.status().ToString();
+        ASSERT_TRUE(cold.ok()) << "seed " << seed << ": "
+                               << cold.status().ToString();
+        ASSERT_EQ(CanonicalBag(exec->result), CanonicalBag(cold->result))
+            << "seed " << seed << " @" << now;
+        if ((now - kFollowPingRangeMs) / kInterval >= gc_floor / kInterval) {
+          auto want = oracle.Evaluate(
+              q, checker.RecomputeStableSn(stable, 2), stable, now);
+          ASSERT_TRUE(want.ok()) << want.status().ToString();
+          ASSERT_EQ(CanonicalBag(exec->result), CanonicalBag(*want))
+              << "seed " << seed << " @" << now;
+          ++oracle_checks;
+        }
+        ++triggers;
+      }
+    }
+    EXPECT_GT(triggers, 0u) << "seed " << seed;
+  }
+  EXPECT_GT(oracle_checks, 0u);
+}
+
 // --- Threaded lane: the controller's hooks under real concurrency. ---
 //
 // Exercises MaintenanceDaemon jitter and WorkerPool dequeue picking with a
@@ -1504,6 +1745,83 @@ TEST(DifferentialThreadedTest, ScheduleControllerUnderConcurrency) {
   }
   EXPECT_EQ(pool.executed(), 24u);
   EXPECT_GT(schedule.decisions(), 0u);
+}
+
+// Concurrent triggers race maintenance GC: the daemon reclaims slices up to
+// one window range behind the clock while pool workers drain triggers in
+// fuzzed order. TSan checks the locking; afterwards the final, fully live
+// window must match both a cold re-execution and the reference oracle.
+TEST(DifferentialThreadedTest, TriggersRaceMaintenanceGc) {
+  ScheduleController sched(4242);
+  ClusterConfig config;
+  config.nodes = 2;
+  config.batch_interval_ms = kInterval;
+  config.schedule = &sched;
+  Cluster cluster(config);
+  StringServer* strings = cluster.strings();
+  ReferenceOracle oracle(strings, kInterval, config.batches_per_sn);
+  StreamId s = *cluster.DefineStream("S", {"at"});
+  oracle.DefineStream("S");
+  cluster.SetBatchLogger([&](const StreamBatch& b) {
+    oracle.AddBatch(b.stream, b.seq, b.tuples);
+  });
+
+  auto vid = [&](const std::string& name) { return strings->InternVertex(name); };
+  PredicateId fo = strings->InternPredicate("fo");
+  PredicateId at = strings->InternPredicate("at");
+  std::vector<Triple> base = {Triple{vid("Logan"), fo, vid("Erik")},
+                              Triple{vid("Logan"), fo, vid("Tony")}};
+  cluster.LoadBase(base);
+  oracle.LoadBase(base);
+
+  auto h = cluster.RegisterContinuous(kFollowPingQuery);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+
+  constexpr StreamTime kEnd = 5000;
+  std::atomic<StreamTime> now{0};
+  std::vector<std::future<StatusOr<QueryExecution>>> futures;
+  {
+    MaintenanceDaemon daemon(
+        &cluster,
+        [&now] {
+          StreamTime n = now.load(std::memory_order_relaxed);
+          return n > kFollowPingRangeMs ? n - kFollowPingRangeMs : 0;
+        },
+        std::chrono::milliseconds(2), &sched);
+    WorkerPool pool(&cluster, 3, &sched);
+    for (StreamTime end = kFollowPingRangeMs; end <= kEnd; end += kInterval) {
+      VertexId who = (end / kInterval) % 2 == 0 ? vid("Erik") : vid("Tony");
+      ASSERT_TRUE(
+          cluster
+              .FeedStream(s, {StreamTuple{{who, at, vid("L" + std::to_string(end))},
+                                          end - 50,
+                                          TupleKind::kTiming}})
+              .ok());
+      cluster.AdvanceStreams(end);
+      now.store(end, std::memory_order_relaxed);
+      futures.push_back(pool.SubmitContinuous(*h, end));
+      daemon.Kick();
+    }
+    pool.Drain();
+  }
+  for (auto& f : futures) {
+    auto exec = f.get();
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  }
+
+  VectorTimestamp stable = cluster.coordinator()->StableVts();
+  auto exec = cluster.ExecuteContinuousAt(*h, kEnd);
+  auto cold = cluster.ExecuteContinuousColdAt(*h, kEnd);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE(exec->result.rows.empty());
+  EXPECT_EQ(CanonicalBag(exec->result), CanonicalBag(cold->result));
+  SnapshotChecker checker(config.batches_per_sn);
+  auto want = oracle.Evaluate(cluster.ContinuousQueryOf(*h),
+                              checker.RecomputeStableSn(stable, 1), stable,
+                              kEnd);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ(CanonicalBag(exec->result), CanonicalBag(*want));
 }
 
 }  // namespace

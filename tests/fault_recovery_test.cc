@@ -420,6 +420,53 @@ TEST_F(FaultRecoveryTest, RetryCountersMatchIndependentTallies) {
   // And execution retries never reach the delivery view.
   EXPECT_EQ(cluster.fault_stats().delivery_retry.retries,
             delivery.delivery_retry.retries);
+
+  // Forced fork-join: reads ride the scatter rounds instead of one-sided
+  // verbs, so the query phase's only faults are rounds lost at the parent
+  // (the home node). Each lost round is one execution retry charged one
+  // backoff, and the injector's message tally is the independent record.
+  FaultInjector fj_injector(schedule);
+  obs::MetricsRegistry fj_registry;
+  ClusterConfig fj_config = config;
+  fj_config.fault_injector = &fj_injector;
+  fj_config.metrics = &fj_registry;
+  fj_config.force_fork_join = true;
+  Cluster fj(fj_config);
+  StringServer* fj_strings = fj.strings();
+  StreamId fj_stream = *fj.DefineStream("S", {"ga"});
+  fj.LoadBase(BaseTriples(fj_strings));
+  auto fh = fj.RegisterContinuous(kPointQuery, /*home=*/2);
+  ASSERT_TRUE(fh.ok()) << fh.status().ToString();
+  for (StreamTime t = kStepMs; t <= kEndMs; t += kStepMs) {
+    ASSERT_TRUE(
+        fj.FeedStream(fj_stream, IntervalTuples(fj_strings, t - kStepMs, t))
+            .ok());
+    fj.AdvanceStreams(t);
+  }
+  const uint64_t ingest_failures = fj_injector.stats().failed_messages;
+  uint64_t fj_retries = 0;
+  double fj_backoff_ms = 0.0;
+  for (StreamTime t = kFirstWindowMs; t <= kEndMs; t += kStepMs) {
+    auto exec = fj.ExecuteContinuousAt(*fh, t);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    ASSERT_TRUE(exec->fork_join);
+    fj_retries += exec->fault_retries;
+    fj_backoff_ms += exec->backoff_ms;
+    auto one = fj.OneShot("SELECT ?Y WHERE { user7 fo ?Y }", 1);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    fj_retries += one->fault_retries;
+    fj_backoff_ms += one->backoff_ms;
+  }
+  const uint64_t lost_rounds =
+      fj_injector.stats().failed_messages - ingest_failures;
+  ASSERT_GT(lost_rounds, 0u);
+  EXPECT_EQ(fj_retries, lost_rounds);
+  EXPECT_EQ(fj_registry.GetCounter("wukongs_fault_retries_total")->value(),
+            lost_rounds);
+  EXPECT_EQ(fj_registry.GetCounter("wukongs_fault_backoff_ns_total")->value(),
+            1500 * lost_rounds);
+  EXPECT_NEAR(fj_backoff_ms * 1e6, 1500.0 * static_cast<double>(lost_rounds),
+              1e-3);
 }
 
 TEST(FaultInjectorTest, SameSeedSameSchedule) {

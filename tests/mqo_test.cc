@@ -1,13 +1,14 @@
 // Multi-query optimization tests (DESIGN.md §5.12): template canonicalization,
 // group lifecycle under register/unregister churn, shared-probe evaluation
-// with per-member fan-out, the per-group DeltaCache, and the grouped-vs-
-// independent differential lane (twin clusters, one with MQO disabled, must
+// with per-member fan-out, memo invalidation on slice eviction, and the
+// grouped-vs-independent differential lane (twin clusters, one with MQO disabled, must
 // return bag-identical results per registration across a seed sweep that
 // includes reconfiguration moves and gray-failure hedging).
 //
-// The lane also proves it has teeth: two planted mutations — a fan-out that
-// skips the hash partition (cross-user leak) and an unregister that leaves
-// the member grouped (stale membership) — must each be caught.
+// The lane also proves it has teeth: three planted mutations — a fan-out
+// that skips the hash partition (cross-user leak), an unregister that leaves
+// the member grouped (stale membership), and a GC that never tells its
+// eviction listener (stale memo) — must each be caught.
 
 #include <gtest/gtest.h>
 
@@ -33,8 +34,8 @@ namespace {
 
 constexpr uint64_t kIntervalMs = 100;
 
-// Bag canonicalization (same contract as the delta lane): grouped fan-out and
-// independent evaluation must agree as multisets; row order is not part of it.
+// Bag canonicalization: grouped fan-out and independent evaluation must
+// agree as multisets; row order is not part of it.
 std::multiset<std::string> Canon(const QueryResult& r) {
   std::multiset<std::string> out;
   for (const auto& row : r.rows) {
@@ -185,7 +186,7 @@ TEST(TemplateCanonTest, IneligibleShapesFallBackWithAReason) {
   absolute.windows[0].absolute = true;
   EXPECT_FALSE(CanonicalizeTemplate(absolute).eligible);
 
-  // A window-scoped pattern inside an OPTIONAL breaks per-group delta scoping.
+  // A window-scoped pattern inside an OPTIONAL is not grouped.
   Query windowed_opt = base;
   windowed_opt.optionals.push_back({windowed_opt.patterns[1]});
   windowed_opt.patterns.pop_back();
@@ -233,11 +234,14 @@ TEST(MqoPartitionTest, PartitionRowsByColumnGroupsRowIndices) {
 
 class MqoClusterTest : public ::testing::Test {
  protected:
-  void Init(uint32_t nodes, bool mqo_enabled = true) {
+  void Init(uint32_t nodes, bool mqo_enabled = true,
+            size_t transient_budget_bytes = 0, uint64_t batches_per_sn = 1) {
     ClusterConfig config;
     config.nodes = nodes;
     config.batch_interval_ms = kIntervalMs;
     config.mqo.enabled = mqo_enabled;
+    config.transient_budget_bytes = transient_budget_bytes;
+    config.batches_per_sn = batches_per_sn;
     config.metrics = &registry_;
     cluster_ = std::make_unique<Cluster>(config);
     stream_ = *cluster_->DefineStream("S", {"at"});
@@ -428,11 +432,10 @@ TEST_F(MqoClusterTest, UnregisterShrinksAndLastMemberDissolves) {
   EXPECT_EQ(cluster_->mqo_stats().groups_formed, 2u);
 }
 
-TEST_F(MqoClusterTest, GroupCarriesADeltaCacheAndSurvivesMaintenance) {
+TEST_F(MqoClusterTest, GroupSurvivesMaintenance) {
   Init(2);
   auto a = Register(FollowerQuery("qa", "u0"));
   auto b = Register(FollowerQuery("qb", "u1"));
-  EXPECT_TRUE(cluster_->MqoGroupHasDeltaCache(a));
 
   for (StreamTime end = 100; end <= 600; end += 100) {
     FeedRound(end);
@@ -445,16 +448,10 @@ TEST_F(MqoClusterTest, GroupCarriesADeltaCacheAndSurvivesMaintenance) {
       ASSERT_TRUE(cold.ok());
       EXPECT_EQ(Canon(exec->result), Canon(cold->result)) << "end=" << end;
     }
-    // GC between triggers: the memo generation bumps, the probe's cache
-    // invalidates via the eviction listeners, and parity must hold after.
+    // GC between triggers bumps the memo generation; parity must hold after.
     cluster_->RunMaintenance(end > 400 ? end - 400 : 0);
   }
   EXPECT_EQ(cluster_->mqo_stats().shared_evals, 4u);
-
-  // Probe's cache dissolves with the group.
-  ASSERT_TRUE(cluster_->UnregisterContinuous(a).ok());
-  ASSERT_TRUE(cluster_->UnregisterContinuous(b).ok());
-  EXPECT_FALSE(cluster_->MqoGroupHasDeltaCache(a));
 }
 
 TEST_F(MqoClusterTest, DegradedClusterSplitsTheGroupForTheTrigger) {
@@ -483,8 +480,65 @@ TEST_F(MqoClusterTest, DegradedClusterSplitsTheGroupForTheTrigger) {
 }
 
 // ---------------------------------------------------------------------------
-// MqoMutationTest: the lane must catch both planted defects.
+// Planted mutations: the lane must catch each defect.
 // ---------------------------------------------------------------------------
+
+TEST_F(MqoClusterTest, SkipEvictionListenersMutationIsCaught) {
+  // A transient store whose ring buffer is full reclaims expired slices at
+  // append time, outside any maintenance pass; only its eviction listener
+  // tells the template groups. Setup: a GC horizon ahead of the stream makes
+  // every slice appended afterwards already expired, one snapshot spans the
+  // whole run, and the budget holds three slices but not four. Appending
+  // the fourth then evicts the first three while the trigger end, snapshot
+  // and stored epoch all stay put — the generation the listener bumps is
+  // the only part of the memo key that moves. Skipping the listener serves
+  // the memo of the evicted window, and the grouped-vs-cold check fires.
+  constexpr uint64_t kOneSnapshot = 1000;  // Batches per snapshot.
+  // Size the budget from the same feed on an unbounded cluster.
+  Init(1, true, 0, kOneSnapshot);
+  for (StreamTime end = 100; end <= 300; end += 100) {
+    FeedRound(end);
+  }
+  const size_t three_slices = cluster_->TransientBytes(stream_);
+  FeedRound(400);
+  const size_t four_slices = cluster_->TransientBytes(stream_);
+  const size_t budget = four_slices - 1;
+  for (bool plant : {false, true}) {
+    Init(1, true, budget, kOneSnapshot);
+    auto a = Register(FollowerQuery("qa", "u0"));
+    auto b = Register(FollowerQuery("qb", "u1"));
+    cluster_->RunMaintenance(1000);  // Horizon past every slice fed below.
+    for (StreamTime end = 100; end <= 300; end += 100) {
+      FeedRound(end);
+    }
+    auto warm = cluster_->ExecuteContinuousAt(a, 300);  // Memoizes the probe.
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_FALSE(warm->result.rows.empty());
+    const uint64_t evals = cluster_->mqo_stats().shared_evals;
+
+    std::unique_ptr<test_hooks::ScopedMutation> bug;
+    if (plant) {
+      bug = std::make_unique<test_hooks::ScopedMutation>(
+          &test_hooks::skip_eviction_listeners);
+    }
+    FeedRound(400);  // Full buffer: slices 0..2 are reclaimed at append.
+    ASSERT_EQ(cluster_->TransientBytes(stream_), four_slices - three_slices);
+    auto grouped = cluster_->ExecuteContinuousAt(b, 300);
+    auto cold = cluster_->ExecuteContinuousColdAt(b, 300);
+    ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_TRUE(cold->result.rows.empty());  // The slices are gone.
+    if (plant) {
+      EXPECT_EQ(cluster_->mqo_stats().shared_evals, evals);  // Memo served.
+      EXPECT_NE(Canon(grouped->result), Canon(cold->result))
+          << "stale memo was not observable — the grouped-vs-cold check "
+             "would miss a skipped eviction listener";
+    } else {
+      EXPECT_EQ(cluster_->mqo_stats().shared_evals, evals + 1);
+      EXPECT_EQ(Canon(grouped->result), Canon(cold->result));
+    }
+  }
+}
 
 TEST_F(MqoClusterTest, SkipFanoutPartitionMutationIsCaught) {
   Init(2);

@@ -626,93 +626,5 @@ TEST_F(ReconfigTest, DuplicateTriggersAcrossOwnershipChangeCollapse) {
   EXPECT_EQ(dedup.duplicates_suppressed(), 1u);
 }
 
-// Satellite: CrashNode's delta-cache flush is scoped to streams whose window
-// data actually touched the crashed node; caches fed entirely by other nodes
-// keep their entries.
-TEST(ReconfigDeltaTest, CrashFlushIsScopedToStreamsTouchingTheCrashedNode) {
-  StringServer strings;
-  ClusterConfig config;
-  config.nodes = 3;
-  // Keep the delta path available (fork-join bypasses it) without changing
-  // what the queries compute.
-  config.force_in_place = true;
-  Cluster cluster(config, &strings);
-  StreamId sa = *cluster.DefineStream("SA");
-  StreamId sb = *cluster.DefineStream("SB");
-
-  constexpr NodeId kVictim = 2;
-  // SA's edges land only on the victim (both endpoints hash there); SB's
-  // edges never touch it. Injection partitions by endpoint owner, so this
-  // controls exactly which nodes absorb each stream's window data.
-  auto pick = [&](const std::string& prefix, bool on_victim) {
-    std::vector<VertexId> out;
-    for (int i = 0; out.size() < 6 && i < 2000; ++i) {
-      VertexId v = strings.InternVertex(prefix + std::to_string(i));
-      if ((cluster.OwnerOf(v) == kVictim) == on_victim) {
-        out.push_back(v);
-      }
-    }
-    EXPECT_EQ(out.size(), 6u);
-    return out;
-  };
-  auto va = pick("a", true);
-  auto vb = pick("b", false);
-
-  auto qa = cluster.RegisterContinuous(R"(
-      REGISTER QUERY QA AS
-      SELECT ?X ?Y
-      FROM STREAM <SA> [RANGE 500ms STEP 100ms]
-      WHERE { GRAPH <SA> { ?X pa ?Y } })");
-  auto qb = cluster.RegisterContinuous(R"(
-      REGISTER QUERY QB AS
-      SELECT ?X ?Y
-      FROM STREAM <SB> [RANGE 500ms STEP 100ms]
-      WHERE { GRAPH <SB> { ?X pb ?Y } })");
-  ASSERT_TRUE(qa.ok() && qb.ok());
-  ASSERT_TRUE(cluster.HasDeltaCache(*qa));
-  ASSERT_TRUE(cluster.HasDeltaCache(*qb));
-
-  PredicateId pa = strings.InternPredicate("pa");
-  PredicateId pb = strings.InternPredicate("pb");
-  auto tuples_for = [&](const std::vector<VertexId>& v, PredicateId p,
-                        StreamTime from) {
-    StreamTupleVec tuples;
-    for (size_t k = 0; k < v.size(); ++k) {
-      tuples.push_back(StreamTuple{{v[k], p, v[(k + 1) % v.size()]},
-                                   from + static_cast<StreamTime>(k * 15),
-                                   TupleKind::kTimeless});
-    }
-    return tuples;
-  };
-
-  for (StreamTime t = kStepMs; t <= 1000; t += kStepMs) {
-    ASSERT_TRUE(cluster.FeedStream(sa, tuples_for(va, pa, t - kStepMs)).ok());
-    ASSERT_TRUE(cluster.FeedStream(sb, tuples_for(vb, pb, t - kStepMs)).ok());
-    cluster.AdvanceStreams(t);
-    if (t < kFirstWindowMs) {
-      continue;
-    }
-    for (uint64_t h : {*qa, *qb}) {
-      auto exec = cluster.ExecuteContinuousAt(h, t);
-      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-      EXPECT_FALSE(exec->result.rows.empty());
-      if (t == 1000) {
-        EXPECT_TRUE(exec->delta);
-      }
-    }
-  }
-
-  size_t entries_a = cluster.DeltaEntryCountOf(*qa);
-  size_t entries_b = cluster.DeltaEntryCountOf(*qb);
-  EXPECT_GT(entries_a, 0u);
-  EXPECT_GT(entries_b, 0u);
-
-  ASSERT_TRUE(cluster.CrashNode(kVictim).ok());
-  // SA's window slices died with the victim: its cache flushes. SB never
-  // stored an edge there: its cache survives intact.
-  EXPECT_EQ(cluster.DeltaEntryCountOf(*qa), 0u);
-  EXPECT_EQ(cluster.DeltaEntryCountOf(*qb), entries_b);
-}
-
 }  // namespace
 }  // namespace wukongs
